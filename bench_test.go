@@ -208,7 +208,6 @@ func BenchmarkExtendColoringPrune(b *testing.B) {
 }
 
 func BenchmarkEngineSequential(b *testing.B) { benchEngine(b, local.Sequential) }
-func BenchmarkEngineGoroutines(b *testing.B) { benchEngine(b, local.Goroutines) }
 func BenchmarkEngineSharded(b *testing.B)    { benchEngine(b, sharded.Default) }
 
 func benchEngine(b *testing.B, run local.Engine) {
@@ -256,14 +255,13 @@ func (f *benchFlood) Receive(r int, inbox []local.Message) bool {
 	return r >= f.rounds
 }
 
-// BenchmarkEngines compares the three engines on ≥10⁵-edge workloads
+// BenchmarkEngines compares the two engines on ≥10⁵-edge workloads
 // (results are recorded in BENCH_engines.json). Ring and regular flood on
 // the edge-conflict topology (one entity per edge, so entity-count scaling
 // dominates); complete-bipartite floods on the node topology, where the
-// per-round message volume of ~2m dominates. The goroutine engine pays
-// Θ(entities) barrier operations and one channel operation per message per
-// round; the sharded engine pays two pool-wide barriers per round and
-// batched slice appends.
+// per-round message volume of ~2m dominates. The sharded engine pays two
+// barriers across its shards per round and one batched slice append per
+// message, and runs its shards in parallel.
 func BenchmarkEngines(b *testing.B) {
 	const rounds = 8
 	workloads := []struct {
@@ -282,7 +280,7 @@ func BenchmarkEngines(b *testing.B) {
 		factory := func(v local.View) local.Protocol {
 			return &benchFlood{v: v, rounds: rounds, best: v.Index, out: make([]local.Message, v.Degree)}
 		}
-		for _, eng := range []local.Engine{local.Sequential, local.Goroutines, sharded.Default} {
+		for _, eng := range []local.Engine{local.Sequential, sharded.Default} {
 			b.Run(w.name+"/"+eng.Name(), func(b *testing.B) {
 				var stats local.Stats
 				for i := 0; i < b.N; i++ {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	edgecolor -gen regular -n 1024 -d 16 -alg bko
-//	edgecolor -in graph.txt -alg pr01 -engine goroutines
+//	edgecolor -in graph.txt -alg pr01
 //	edgecolor -gen regular -n 30000 -d 8 -alg pr01 -engine sharded -shards 4
 //	edgecolor -gen complete -n 64 -alg vizing        # Δ+1 colors, guaranteed
 //	graphgen -family gnp -n 500 -p 0.02 | edgecolor -alg randomized
@@ -34,8 +34,8 @@ func main() {
 		p        = flag.Float64("p", 0.05, "edge probability / radius for -gen gnp|geometric")
 		seed     = flag.Uint64("seed", 1, "generator / randomized-algorithm seed")
 		alg      = flag.String("alg", "bko", "algorithm: bko|bko-theory|pr01|greedy-classes|randomized|vizing")
-		engine   = flag.String("engine", "sequential", "engine: sequential|goroutines|sharded")
-		shards   = flag.Int("shards", 0, "worker count for -engine sharded (default: one per core)")
+		engine   = flag.String("engine", "sequential", "engine: sequential|sharded")
+		shards   = flag.Int("shards", 0, "shard count for -engine sharded (default: one per core)")
 		palette  = flag.Int("palette", 0, "palette size (default 2Δ−1; Δ+1 for -alg vizing)")
 		dump     = flag.Bool("dump", false, "print per-edge colors")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the coloring run to this file (view with go tool pprof)")
@@ -119,9 +119,9 @@ func main() {
 // extend the matching case list (and the flag help text) here.
 func validateFlags(engine string, shards int, alg string) error {
 	switch distec.Engine(engine) {
-	case distec.Sequential, distec.Goroutines, distec.Sharded:
+	case distec.Sequential, distec.Sharded:
 	default:
-		return fmt.Errorf("unknown -engine %q (want sequential, goroutines, or sharded)", engine)
+		return fmt.Errorf("unknown -engine %q (want sequential or sharded)", engine)
 	}
 	if shards < 0 {
 		return fmt.Errorf("-shards must be ≥ 0, got %d", shards)

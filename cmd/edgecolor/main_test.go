@@ -71,7 +71,7 @@ func TestValidateFlags(t *testing.T) {
 		alg    string
 	}{
 		{"sequential", 0, "bko"},
-		{"goroutines", 0, "bko-theory"},
+		{"sequential", 0, "bko-theory"},
 		{"sharded", 4, "pr01"},
 		{"sharded", 0, "greedy-classes"},
 		{"sequential", 2, "randomized"}, // -shards is inert but valid here
@@ -88,6 +88,7 @@ func TestValidateFlags(t *testing.T) {
 		alg    string
 	}{
 		{"warp-drive", 0, "bko"}, // unknown engine
+		{"goroutines", 0, "bko"}, // removed engine
 		{"Sharded", 0, "bko"},    // case matters
 		{"sharded", -1, "bko"},   // negative shards
 		{"sequential", 0, "bk0"}, // unknown algorithm

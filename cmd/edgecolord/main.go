@@ -909,16 +909,16 @@ func (s *server) adoptPassivated(id string) (*session, error) {
 	return sess, nil
 }
 
-// recoverSession rebuilds one session from its directory: open the log
+// restoreSession rebuilds a session's Dynamic from its directory — the one
+// restore path boot recovery and rehydration share. It opens the log
 // (which repairs a torn WAL tail and finishes an interrupted compaction),
-// restore the merged snapshot, replay the surviving records in order, and
-// verify the result. Any failure abandons the recovery with the files
-// untouched.
-func (s *server) recoverSession(id string) (*session, error) {
-	dir := filepath.Join(s.cfg.dataDir, id)
-	lg, snap, records, err := persist.OpenLog(dir, s.persistOptions())
+// restores the merged snapshot, replays the surviving records in order
+// under ctx, verifies the result, and installs the journal. On any failure
+// the log is closed and the files are left untouched.
+func (s *server) restoreSession(ctx context.Context, id string) (*distec.Dynamic, *persist.Log, error) {
+	lg, snap, records, err := persist.OpenLog(filepath.Join(s.cfg.dataDir, id), s.persistOptions())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ok := false
 	defer func() {
@@ -930,24 +930,32 @@ func (s *server) recoverSession(id string) (*session, error) {
 	// on disk alone may be stale, so the parsed value is the truth.
 	d, err := distec.NewDynamicFromState(snap, distec.DynamicOptions{Pool: s.pool})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	if err := distec.ReplayRecords(ctx, d, records); err != nil {
+		return nil, nil, err
+	}
+	// Never serve a coloring that does not independently verify.
+	if err := d.Verify(); err != nil {
+		return nil, nil, fmt.Errorf("restored coloring invalid: %v", err)
+	}
+	d.SetJournal(s.journalFunc(lg))
+	ok = true
+	return d, lg, nil
+}
+
+// recoverSession restores one session at boot and compacts a WAL that has
+// outgrown the threshold. Any failure abandons the recovery with the files
+// untouched.
+func (s *server) recoverSession(id string) (*session, error) {
 	// Boot recovery runs before the listener accepts anything: there is no
 	// request whose deadline could bound this replay, and aborting half-way
 	// would just re-run the same work on the next start.
 	//distec:nolint ctxflow
-	if err := distec.ReplayRecords(context.Background(), d, records); err != nil {
+	d, lg, err := s.restoreSession(context.Background(), id)
+	if err != nil {
 		return nil, err
 	}
-	if want := snap.Seq + uint64(len(records)); d.Seq() != want {
-		return nil, fmt.Errorf("replayed to seq %d, want %d", d.Seq(), want)
-	}
-	// Never re-serve a coloring that does not independently verify.
-	if err := d.Verify(); err != nil {
-		return nil, fmt.Errorf("recovered coloring invalid: %v", err)
-	}
-	sess := &session{id: id, d: d, log: lg}
-	d.SetJournal(s.journalFunc(lg))
 	// A WAL already past the threshold is compacted now (synchronously:
 	// boot is the cheap moment), so recovery cost stays bounded next time.
 	// A compaction failure poisons the log — registering the session anyway
@@ -956,16 +964,18 @@ func (s *server) recoverSession(id string) (*session, error) {
 	if lg.NeedsCompaction() {
 		var buf bytes.Buffer
 		if err := d.Snapshot(&buf); err != nil {
+			lg.Close()
 			return nil, fmt.Errorf("boot compaction snapshot: %w", err)
 		}
 		if err := lg.Compact(buf.Bytes()); err != nil {
+			lg.Close()
 			return nil, fmt.Errorf("boot compaction: %w", err)
 		}
 	}
+	sess := &session{id: id, d: d, log: lg}
 	sess.resident.Store(true)
 	s.residentCount.Add(1)
 	sess.touch()
-	ok = true
 	return sess, nil
 }
 

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"github.com/distec/distec"
-	"github.com/distec/distec/internal/persist"
 )
 
 // Passivation keeps the daemon's resident set bounded while the registry
@@ -53,34 +51,16 @@ func (s *server) acquire(ctx context.Context, sess *session) (*distec.Dynamic, e
 	return d, err
 }
 
-// rehydrateLocked rebuilds a passivated session from its directory —
-// open (repairing any torn tail), restore the merged snapshot, replay,
-// verify — and reinstalls it as resident. ctx aborts the replay (the
-// requester's deadline governs how long a rehydration may run). Caller
-// holds sess.mu.
+// rehydrateLocked rebuilds a passivated session through the boot
+// recovery's restore path (restoreSession) and reinstalls it as resident.
+// ctx aborts the replay (the requester's deadline governs how long a
+// rehydration may run). Caller holds sess.mu.
 func (s *server) rehydrateLocked(ctx context.Context, sess *session) (*distec.Dynamic, error) {
 	start := time.Now()
-	dir := filepath.Join(s.cfg.dataDir, sess.id)
-	lg, snap, records, err := persist.OpenLog(dir, s.persistOptions())
+	d, lg, err := s.restoreSession(ctx, sess.id)
 	if err != nil {
 		return nil, fmt.Errorf("rehydrate %s: %w", sess.id, err)
 	}
-	d, err := distec.NewDynamicFromState(snap, distec.DynamicOptions{Pool: s.pool})
-	if err != nil {
-		lg.Close()
-		return nil, fmt.Errorf("rehydrate %s: %w", sess.id, err)
-	}
-	if err := distec.ReplayRecords(ctx, d, records); err != nil {
-		lg.Close()
-		return nil, fmt.Errorf("rehydrate %s: %w", sess.id, err)
-	}
-	// Same contract as boot recovery: never serve a coloring that does not
-	// independently verify.
-	if err := d.Verify(); err != nil {
-		lg.Close()
-		return nil, fmt.Errorf("rehydrate %s: coloring invalid: %v", sess.id, err)
-	}
-	d.SetJournal(s.journalFunc(lg))
 	sess.d, sess.log = d, lg
 	sess.resident.Store(true)
 	s.residentCount.Add(1)

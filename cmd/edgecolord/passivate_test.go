@@ -63,6 +63,56 @@ func TestRehydrationFailureSurfaces(t *testing.T) {
 	}
 }
 
+// TestRehydrationRejectsEmptyRecord appends a record that applies nothing
+// (an empty batch at the next sequence number) to a passivated session's
+// WAL. Rehydration must fail loudly (500) and keep the files: serving the
+// session would let its next acknowledged batch reuse that sequence number
+// and leave the WAL unrecoverable.
+func TestRehydrationRejectsEmptyRecord(t *testing.T) {
+	dataDir := t.TempDir()
+	ts, d, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir, maxResident: 1})
+	var ids []string
+	for i := 0; i < 2; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/session", sessionRequest{Graph: graphToSpec(distec.Cycle(4))})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("create: status %d: %s", resp.StatusCode, body)
+		}
+		var sr sessionResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sr.SessionID)
+	}
+	if d.residentCount.Load() != 1 {
+		t.Fatalf("%d resident, want 1", d.residentCount.Load())
+	}
+	// ids[0] is passivated and its log closed: journal the empty record.
+	dir := filepath.Join(dataDir, ids[0])
+	lg, snap, records, err := persist.OpenLog(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := snap.Seq + uint64(len(records))
+	if err := lg.Append(persist.Record{Seq: head + 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := http.Get(ts.URL + "/v1/session/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, r.Body)
+	r.Body.Close()
+	if r.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("rehydration over an empty record answered %d, want 500", r.StatusCode)
+	}
+	if _, replay, _, err := persist.ScanDir(dir); err != nil || len(replay) != len(records)+1 {
+		t.Fatalf("session files after failed rehydration: %d records, err %v; want %d kept", len(replay), err, len(records)+1)
+	}
+}
+
 // TestThousandSessionsBoundedResidency is the passivation acceptance pin:
 // a daemon with the default limits holds 1000 durable sessions while
 // never keeping more than -max-resident (64) of them in memory, keeps

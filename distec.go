@@ -8,10 +8,10 @@
 // The unit of work is a Graph; algorithms color its edges so that edges
 // sharing an endpoint receive different colors. All algorithms are honest
 // synchronous message-passing programs: they can run on a deterministic
-// sequential engine, with one goroutine per network entity communicating
-// over channels, or on a sharded worker pool that batches messages between
-// cores — with bit-identical results — and they report the number of LOCAL
-// rounds consumed.
+// sequential engine or on a sharded engine that runs partitions of the
+// network in parallel and batches messages between them — with
+// bit-identical results — and they report the number of LOCAL rounds
+// consumed.
 //
 // Quickstart:
 //
@@ -91,13 +91,10 @@ const (
 	// Sequential runs entities in a deterministic loop (default; fastest
 	// for small instances).
 	Sequential Engine = "sequential"
-	// Goroutines runs one goroutine per entity with channel links and
-	// barrier-synchronized rounds. Results are identical to Sequential.
-	Goroutines Engine = "goroutines"
-	// Sharded partitions entities across a fixed worker pool (one shard per
-	// core by default; see Options.Shards) with batched message handoff at
-	// round boundaries. Results are bit-identical to Sequential; it is the
-	// engine of choice for large instances (10⁵–10⁶ edges).
+	// Sharded partitions entities into shards (one per core by default;
+	// see Options.Shards) whose per-round work runs in parallel, with
+	// batched message handoff between them. Results are bit-identical to
+	// Sequential; it is the engine for large instances on many cores.
 	Sharded Engine = "sharded"
 )
 
@@ -108,8 +105,8 @@ type Options struct {
 	Algorithm Algorithm
 	// Engine selects the execution engine (default Sequential).
 	Engine Engine
-	// Shards is the worker count for the Sharded engine (default: one per
-	// core). Ignored by the other engines.
+	// Shards is the shard count for the Sharded engine (default: one per
+	// core). Ignored by the sequential engine.
 	Shards int
 	// Palette overrides the palette size for ColorEdges (default 2Δ−1, or
 	// Δ+1 for the Vizing algorithm). Must be at least Δ̄+1 to keep the
@@ -161,8 +158,6 @@ func (o Options) engine() (local.Engine, error) {
 	switch o.Engine {
 	case "", Sequential:
 		return local.Sequential, nil
-	case Goroutines:
-		return local.Goroutines, nil
 	case Sharded:
 		return sharded.New(sharded.Config{Shards: o.Shards}), nil
 	default:

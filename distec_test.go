@@ -90,26 +90,6 @@ func TestColorEdgesListRejectsSlack(t *testing.T) {
 	}
 }
 
-func TestGoroutineEngineMatches(t *testing.T) {
-	g := RandomRegular(64, 6, 5)
-	a, err := ColorEdges(g, Options{Engine: Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ColorEdges(g, Options{Engine: Goroutines})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Rounds != b.Rounds || a.Messages != b.Messages {
-		t.Fatalf("engines differ: %+v vs %+v", a, b)
-	}
-	for e := range a.Colors {
-		if a.Colors[e] != b.Colors[e] {
-			t.Fatalf("edge %d differs", e)
-		}
-	}
-}
-
 func TestGraphBuilding(t *testing.T) {
 	g := NewGraph(4)
 	if _, err := g.AddEdge(0, 1); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/distec/distec/internal/bench"
+	"github.com/distec/distec/internal/persist"
 )
 
 // absentEdges returns count node pairs that are not edges of g, in
@@ -201,6 +202,39 @@ func TestApplyBatchAppliedPrefix(t *testing.T) {
 			t.Fatalf("seq %d, want 0", d.Seq())
 		}
 	})
+}
+
+// TestReplayRecordsSequenceContract pins the replay contract every restore
+// path shares: each record must carry the session's next sequence number
+// and advance the session by exactly one batch.
+func TestReplayRecordsSequenceContract(t *testing.T) {
+	g := Cycle(8)
+	fresh := absentEdges(t, g, 2)
+	insert := func(seq uint64, e [2]int) persist.Record {
+		return persist.Record{Seq: seq, Updates: []persist.Update{{Op: persist.OpInsert, U: int32(e[0]), V: int32(e[1])}}}
+	}
+	for _, c := range []struct {
+		name    string
+		records []persist.Record
+		wantSeq uint64 // 0: replay must fail
+	}{
+		{"contiguous", []persist.Record{insert(1, fresh[0]), insert(2, fresh[1])}, 2},
+		{"gap", []persist.Record{insert(2, fresh[0])}, 0},
+		{"repeat", []persist.Record{insert(1, fresh[0]), insert(1, fresh[1])}, 0},
+		{"empty", []persist.Record{{Seq: 1}}, 0},
+	} {
+		d, err := NewDynamic(g, DynamicOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = ReplayRecords(context.Background(), d, c.records)
+		switch {
+		case c.wantSeq == 0 && err == nil:
+			t.Errorf("%s: replay accepted, session at seq %d", c.name, d.Seq())
+		case c.wantSeq != 0 && (err != nil || d.Seq() != c.wantSeq):
+			t.Errorf("%s: replay to seq %d, err %v; want seq %d", c.name, d.Seq(), err, c.wantSeq)
+		}
+	}
 }
 
 // TestDynamicJournal pins the journal contract: one call per applied batch,

@@ -577,12 +577,19 @@ func NewDynamicFromState(snap *persist.Snapshot, opts DynamicOptions) (*Dynamic,
 
 // ReplayRecords applies recovered write-ahead-log records to a restored
 // session in order — the shared replay step behind edgecolord's boot
-// recovery and sessionctl's offline verification, kept in one place so the
-// op mapping cannot diverge between them. The record type lives in an
+// recovery and rehydration and sessionctl's offline verification, kept in
+// one place so the op mapping and the sequence contract cannot diverge
+// between them. Every record must advance the session by exactly one
+// batch: its Seq must be the session's next, and applying it must take
+// effect (an empty record applies nothing, and a later acknowledged batch
+// would then reuse its sequence number). The record type lives in an
 // internal package, making this module plumbing; external callers drive
 // ApplyBatch directly.
 func ReplayRecords(ctx context.Context, d *Dynamic, records []persist.Record) error {
 	for _, rec := range records {
+		if want := d.Seq() + 1; rec.Seq != want {
+			return fmt.Errorf("distec: replay batch %d: session expects batch %d", rec.Seq, want)
+		}
 		updates := make([]Update, len(rec.Updates))
 		for i, up := range rec.Updates {
 			op := InsertEdge
@@ -593,6 +600,9 @@ func ReplayRecords(ctx context.Context, d *Dynamic, records []persist.Record) er
 		}
 		if _, err := d.ApplyBatch(ctx, updates); err != nil {
 			return fmt.Errorf("distec: replay batch %d: %w", rec.Seq, err)
+		}
+		if d.Seq() != rec.Seq {
+			return fmt.Errorf("distec: replay batch %d: record applied no update", rec.Seq)
 		}
 	}
 	return nil

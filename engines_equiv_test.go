@@ -12,9 +12,9 @@ import (
 
 // TestEngineEquivalence is the cross-engine harness: every Algorithm on a
 // matrix of generator workloads must produce identical colorings, round
-// counts, and message counts on the Sequential, Goroutines, and Sharded
-// engines — the latter across shard counts 1, 2, NumCPU, and one more than
-// the entity count (edge-entity topologies have one entity per edge).
+// counts, and message counts on the Sequential and Sharded engines — the
+// latter across shard counts 1, 2, NumCPU, and one more than the entity
+// count (edge-entity topologies have one entity per edge).
 // The engines promise bit-identical executions, not merely equally valid
 // colorings, so equality is exact.
 func TestEngineEquivalence(t *testing.T) {
@@ -44,7 +44,6 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Fatalf("sequential coloring invalid: %v", err)
 				}
 				variants := []Options{
-					{Algorithm: alg, Seed: 5, Engine: Goroutines},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 1},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 2},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: runtime.NumCPU()},
@@ -77,7 +76,7 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceListInstance runs the harder (deg(e)+1)-list problem
-// through all three engines on the public list API.
+// through both engines on the public list API.
 func TestEngineEquivalenceListInstance(t *testing.T) {
 	g := RandomRegular(36, 5, 41)
 	dbar := g.MaxEdgeDegree()
@@ -96,7 +95,6 @@ func TestEngineEquivalenceListInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{
-		{Engine: Goroutines},
 		{Engine: Sharded, Shards: 3},
 		{Engine: Sharded},
 	} {
@@ -116,8 +114,10 @@ func TestEngineEquivalenceListInstance(t *testing.T) {
 }
 
 func TestUnknownEngineRejected(t *testing.T) {
-	if _, err := ColorEdges(Cycle(8), Options{Engine: "warp-drive"}); err == nil {
-		t.Fatal("accepted unknown engine")
+	for _, engine := range []Engine{"warp-drive", "goroutines"} {
+		if _, err := ColorEdges(Cycle(8), Options{Engine: engine}); err == nil {
+			t.Fatalf("accepted unknown engine %q", engine)
+		}
 	}
 }
 
@@ -165,7 +165,6 @@ func TestEngineTraceEquivalence(t *testing.T) {
 					t.Fatal("sequential run produced an empty trace")
 				}
 				variants := []Options{
-					{Algorithm: alg, Seed: 5, Engine: Goroutines},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 1},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: 3},
 					{Algorithm: alg, Seed: 5, Engine: Sharded, Shards: w.g.M() + 1},

@@ -6,6 +6,7 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
+	"github.com/distec/distec/internal/sharded"
 )
 
 // properOn checks that colors is a proper coloring of topology t.
@@ -136,9 +137,9 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	goColors, goStats, err := Reduce(tp, init, tp.N(), local.Goroutines)
+	goColors, goStats, err := Reduce(tp, init, tp.N(), sharded.New(sharded.Config{Shards: 3}))
 	if err != nil {
-		t.Fatalf("goroutines: %v", err)
+		t.Fatalf("sharded: %v", err)
 	}
 	if seqStats != goStats {
 		t.Fatalf("stats differ: %+v vs %+v", seqStats, goStats)

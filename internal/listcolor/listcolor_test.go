@@ -6,6 +6,7 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
+	"github.com/distec/distec/internal/sharded"
 )
 
 // properList checks that colors is a proper, list-respecting coloring of the
@@ -128,9 +129,9 @@ func TestSolveBaseEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	b, sb, err := SolveBase(in, nil, 0, local.Goroutines)
+	b, sb, err := SolveBase(in, nil, 0, sharded.New(sharded.Config{Shards: 3}))
 	if err != nil {
-		t.Fatalf("goroutines: %v", err)
+		t.Fatalf("sharded: %v", err)
 	}
 	if sa != sb {
 		t.Fatalf("stats differ: %+v vs %+v", sa, sb)

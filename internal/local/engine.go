@@ -3,15 +3,15 @@ package local
 import "github.com/distec/distec/internal/trace"
 
 // Engine executes a Protocol on a Topology until every entity halts. The
-// three engines in the repository — Sequential, Goroutines, and the sharded
-// worker-pool engine in internal/sharded — implement identical synchronous
-// LOCAL semantics: for deterministic protocols, error-free runs produce
-// bit-identical results and stats, differing only in wall-clock cost. (On a
-// protocol error the engines agree on the error and the round it occurred
-// in, but the partial stats returned alongside it are engine-specific.)
+// two engines in the repository — Sequential and the sharded engine in
+// internal/sharded — implement identical synchronous LOCAL semantics: for
+// deterministic protocols, error-free runs produce bit-identical results
+// and stats, differing only in wall-clock cost. (On a protocol error the
+// engines agree on the error and the round it occurred in, but the partial
+// stats returned alongside it are engine-specific.)
 //
 // Algorithm packages are parameterized by Engine so that the same protocol
-// code runs unchanged on any of them.
+// code runs unchanged on either of them.
 type Engine interface {
 	// Name identifies the engine (for logs, benchmarks, and CLI flags).
 	Name() string
@@ -19,35 +19,21 @@ type Engine interface {
 	Run(t *Topology, f Factory, opts *Options) (Stats, error)
 }
 
-// Runner is the signature shared by RunSequential and RunGoroutines. It is
-// the functional form of Engine; wrap one with EngineFunc.
-type Runner func(t *Topology, f Factory, opts *Options) (Stats, error)
+// Sequential is the deterministic single-goroutine engine: the workhorse
+// for experiments and the reference semantics the sharded engine is tested
+// against. Its Run drives a SeqExec to completion.
+var Sequential Engine = sequential{}
 
-// EngineFunc adapts a Runner function to the Engine interface.
-func EngineFunc(name string, run Runner) Engine {
-	return engineFunc{name: name, run: run}
+type sequential struct{}
+
+func (sequential) Name() string { return "sequential" }
+
+func (sequential) Run(t *Topology, f Factory, opts *Options) (Stats, error) {
+	x := NewSeqExec(t, f, opts)
+	for !x.Round() {
+	}
+	return x.Stats()
 }
-
-type engineFunc struct {
-	name string
-	run  Runner
-}
-
-func (e engineFunc) Name() string { return e.name }
-
-func (e engineFunc) Run(t *Topology, f Factory, opts *Options) (Stats, error) {
-	return e.run(t, f, opts)
-}
-
-// Sequential is the deterministic single-goroutine engine (RunSequential):
-// the workhorse for experiments and the reference semantics the other
-// engines are tested against.
-var Sequential Engine = EngineFunc("sequential", RunSequential)
-
-// Goroutines is the one-goroutine-per-entity engine (RunGoroutines): real
-// channels per link and barrier-synchronized rounds. It demonstrates that
-// the protocols are honest message-passing programs.
-var Goroutines Engine = EngineFunc("goroutines", RunGoroutines)
 
 // Traced wraps an engine so every Run it executes reports to tr: the
 // wrapper copies the caller's Options (nil included) and injects the
@@ -104,7 +90,7 @@ func SetSpanLabel(run Engine, label string) {
 }
 
 // ViewOf returns the static local knowledge of entity i, as handed to the
-// Factory by every engine.
+// Factory by both engines.
 func (t *Topology) ViewOf(i int) View {
 	var meta any
 	if t.Meta != nil {

@@ -6,7 +6,7 @@ import "sync"
 // Protocols cannot return errors from Send/Receive (a distributed algorithm
 // has no global error channel), so algorithm packages pass a shared sink into
 // every per-entity instance and check it after the run. Safe for concurrent
-// use by the goroutine engine.
+// use by the sharded engine's parallel shards.
 type ErrorSink struct {
 	mu  sync.Mutex
 	err error

@@ -9,15 +9,16 @@
 // decides whether to halt. Messages are arbitrary Go values — the LOCAL
 // model does not charge for bandwidth, only rounds.
 //
-// Three engines execute the same Protocol with identical semantics (see the
-// Engine interface):
+// Two engines execute the same Protocol with identical semantics (see the
+// Engine interface), each through one round loop:
 //
-//   - RunSequential: a deterministic loop; the workhorse for experiments.
-//   - RunGoroutines: one goroutine per entity, real channels per link, and
-//     barrier-synchronized rounds; demonstrates that the protocols are
-//     honest message-passing programs and cross-checks the sequential engine.
-//   - internal/sharded: a worker pool (one shard of entities per core) with
-//     double-buffered batch mailboxes; the engine for large instances.
+//   - Sequential: a deterministic loop on one goroutine (SeqExec.Round);
+//     the workhorse for experiments and the reference semantics.
+//   - internal/sharded: entities split into shards whose per-round work
+//     runs in parallel, with double-buffered batch mailboxes between
+//     shards (sharded.Exec.Round). An entity there sees only what its
+//     neighbors' shards delivered, so bit-identical results cross-check
+//     that every protocol is an honest message-passing program.
 //
 // Entities know, at start: their own ID, their degree, the global entity
 // count and the global maximum degree (standard LOCAL assumptions; the paper
@@ -28,9 +29,6 @@ package local
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/distec/distec/internal/trace"
 )
@@ -88,11 +86,11 @@ type SparseReceiver interface {
 // Sleeper is an optional event-driven fast path: after a quiet round r (no
 // messages received), NextWake(r) promises that — absent incoming messages —
 // the entity will send nothing and its ReceiveNone will not halt it before
-// round NextWake(r). The sequential engine then skips the entity entirely
-// until that round or until a message arrives, turning long deterministic
-// schedules (one class per round) into event-driven simulation. The
-// goroutine engine ignores Sleeper (its barrier already ticks every entity);
-// results are identical because skipped calls are no-ops by contract.
+// round NextWake(r). Both engines then skip the entity entirely until that
+// round or until a message arrives, turning long deterministic schedules
+// (one class per round) into event-driven simulation. Results are identical
+// to ticking the entity every round because skipped calls are no-ops by
+// contract.
 type Sleeper interface {
 	SparseReceiver
 	NextWake(r int) int
@@ -148,6 +146,8 @@ type Stats struct {
 }
 
 // Factory constructs the protocol instance for one entity from its view.
+// The sharded engine builds its shards in parallel, so a Factory must be
+// safe for concurrent use.
 type Factory func(v View) Protocol
 
 // ErrRoundLimit is returned when a protocol exceeds the engine's round cap,
@@ -165,12 +165,11 @@ type Options struct {
 	// MaxRounds caps the execution (default DefaultMaxRounds). Exceeding it
 	// returns ErrRoundLimit.
 	MaxRounds int
-	// Interrupt, when non-nil, is polled by every engine about once per
-	// round; the first non-nil error aborts the run and is returned as the
-	// run error. It is how callers plumb context cancellation and deadlines
-	// into an execution (see internal/serve). Interrupt must be safe for
-	// concurrent use: the parallel engines may poll it from worker
-	// goroutines.
+	// Interrupt, when non-nil, is polled by both engines once per round,
+	// before the round starts, on the goroutine driving the execution; the
+	// first non-nil error aborts the run and is returned as the run error.
+	// It is how callers plumb context cancellation and deadlines into an
+	// execution (see internal/serve).
 	Interrupt func() error
 	// Trace, when non-nil, receives one span per engine run carrying
 	// per-round events (duration, messages, deliveries, halts). Nil — the
@@ -184,7 +183,7 @@ type Options struct {
 const DefaultMaxRounds = 1 << 20
 
 // RoundLimit returns the effective round cap of o (DefaultMaxRounds when o
-// is nil or MaxRounds is unset). All engines enforce the same cap.
+// is nil or MaxRounds is unset). Both engines enforce the same cap.
 func (o *Options) RoundLimit() int {
 	if o == nil || o.MaxRounds <= 0 {
 		return DefaultMaxRounds
@@ -215,273 +214,4 @@ func (o *Options) Tracer() *trace.Trace {
 type slot struct {
 	entity int32
 	port   int32
-}
-
-// RunSequential executes the protocol deterministically on a single
-// goroutine and returns the execution stats. It is the reference engine:
-// one full iteration of its loop per round, driven by SeqExec (the step
-// form the serving layer slices).
-//
-// Inbox buffers are cleared sparsely (only slots written in a buffer's
-// previous use), so a round's cost is O(active entities + messages) rather
-// than O(total ports) — essential for long, sparse schedules such as the
-// one-class-per-round greedy phases.
-func RunSequential(t *Topology, f Factory, opts *Options) (Stats, error) {
-	x := NewSeqExec(t, f, opts)
-	for !x.Round() {
-	}
-	return x.Stats()
-}
-
-// RunGoroutines executes the protocol with one goroutine per entity and one
-// buffered channel per directed link, synchronizing rounds with barriers.
-// Results are identical to RunSequential for deterministic protocols.
-func RunGoroutines(t *Topology, f Factory, opts *Options) (Stats, error) {
-	n := t.N()
-	span := opts.Tracer().StartSpan("goroutines", n)
-	if n == 0 {
-		span.End(nil)
-		return Stats{}, nil
-	}
-	// One channel per directed link, capacity 1: within a round each link
-	// carries at most one message.
-	chans := make([][]chan Message, n)
-	for i := 0; i < n; i++ {
-		chans[i] = make([]chan Message, len(t.Ports[i]))
-		for p := range chans[i] {
-			chans[i][p] = make(chan Message, 1)
-		}
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		messages int64
-		rounds   int
-	)
-	limit := opts.RoundLimit()
-	barrier := newBarrier(n)
-	// Tracing hooks: entities accumulate the round's sends and deliveries
-	// in two atomics, and the LAST arrival at the second-phase barrier —
-	// which already holds the barrier mutex, so every entity's writes
-	// this round happen-before it — emits the round event and resets
-	// them. Untraced runs never touch the atomics and pay one nil test
-	// per round at the barrier.
-	var rSent, rReceived atomic.Int64
-	traced := span != nil
-	if traced {
-		prevDone := 0
-		lastEnd := time.Now()
-		round := 0
-		barrier.onEnd = func() {
-			round++
-			now := time.Now()
-			halted := barrier.doneCount - prevDone
-			prevDone = barrier.doneCount
-			span.Round(trace.RoundEvent{
-				Round:    round,
-				Duration: now.Sub(lastEnd),
-				Messages: rSent.Swap(0),
-				Received: int(rReceived.Swap(0)),
-				Halted:   halted,
-				Active:   n - barrier.doneCount,
-			})
-			lastEnd = now
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			proc := f(t.ViewOf(i))
-			sparse, _ := proc.(SparseReceiver)
-			inbox := make([]Message, len(t.Ports[i]))
-			done := false
-			var sent int64
-			maxRound := 0
-			for r := 1; ; r++ {
-				if r > limit {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%w (limit %d)", ErrRoundLimit, limit)
-					}
-					mu.Unlock()
-					barrier.cancel()
-					break
-				}
-				// Entity 0 polls the interrupt hook on behalf of the run (one
-				// poll per round, like the other engines); cancellation then
-				// propagates to every goroutine through the barrier.
-				if i == 0 {
-					if err := opts.Interrupted(); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						barrier.cancel()
-						break
-					}
-				}
-				if !done {
-					out := proc.Send(r)
-					if out != nil && len(out) != len(t.Ports[i]) {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("local: entity %d sent %d messages, has %d ports", i, len(out), len(t.Ports[i]))
-						}
-						mu.Unlock()
-						barrier.cancel()
-						break
-					}
-					prevSent := sent
-					for p, msg := range out {
-						if msg == nil {
-							continue
-						}
-						chans[t.Ports[i][p]][t.Back[i][p]] <- msg
-						sent++
-					}
-					if traced && sent > prevSent {
-						rSent.Add(sent - prevSent)
-					}
-				}
-				// Barrier 1: all sends for round r complete.
-				if !barrier.wait() {
-					break
-				}
-				// Drain this entity's channels even when halted, so that
-				// neighbors that keep sending never block on a full link.
-				drained := 0
-				for p := range inbox {
-					select {
-					case m := <-chans[i][p]:
-						inbox[p] = m
-						drained++
-					default:
-						inbox[p] = nil
-					}
-				}
-				if !done {
-					if traced && drained > 0 {
-						rReceived.Add(1)
-					}
-					if drained == 0 && sparse != nil {
-						done = sparse.ReceiveNone(r)
-					} else {
-						done = proc.Receive(r, inbox)
-					}
-					if done {
-						maxRound = r
-						barrier.arriveDone()
-					}
-				}
-				// Barrier 2: all receives for round r complete; engine-wide
-				// halt detection.
-				allDone, ok := barrier.waitEnd()
-				if !ok {
-					break
-				}
-				if allDone {
-					break
-				}
-			}
-			mu.Lock()
-			messages += sent
-			if maxRound > rounds {
-				rounds = maxRound
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	span.End(firstErr)
-	if firstErr != nil {
-		return Stats{}, firstErr
-	}
-	return Stats{Rounds: rounds, Messages: messages}, nil
-}
-
-// barrier is a reusable two-phase barrier with a "done" population count and
-// cooperative cancellation.
-type barrier struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	n         int // total participants
-	arrived   int
-	phase     uint64
-	doneCount int
-	cancelled bool
-	// onEnd, when non-nil, is invoked by the LAST second-phase arrival of
-	// every completed round, while the barrier mutex is held — the
-	// engine's per-round trace emission point. It must not block.
-	onEnd func()
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// wait blocks until all n participants arrive. Returns false if cancelled.
-func (b *barrier) wait() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cancelled {
-		return false
-	}
-	phase := b.phase
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.phase++
-		b.cond.Broadcast()
-		return !b.cancelled
-	}
-	for b.phase == phase && !b.cancelled {
-		b.cond.Wait()
-	}
-	return !b.cancelled
-}
-
-// arriveDone marks the calling participant as permanently done. It must be
-// called between the two barrier phases of the round in which the entity
-// halts; the entity continues to participate in barriers (but not messaging)
-// so the phases stay aligned.
-func (b *barrier) arriveDone() {
-	b.mu.Lock()
-	b.doneCount++
-	b.mu.Unlock()
-}
-
-// waitEnd is the second-phase barrier; it reports (allDone, ok).
-func (b *barrier) waitEnd() (bool, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cancelled {
-		return false, false
-	}
-	phase := b.phase
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.phase++
-		if b.onEnd != nil {
-			b.onEnd()
-		}
-		b.cond.Broadcast()
-		return b.doneCount == b.n, !b.cancelled
-	}
-	for b.phase == phase && !b.cancelled {
-		b.cond.Wait()
-	}
-	return b.doneCount == b.n, !b.cancelled
-}
-
-func (b *barrier) cancel() {
-	b.mu.Lock()
-	b.cancelled = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

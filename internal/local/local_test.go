@@ -119,34 +119,24 @@ func TestEdgeMetaPortStructure(t *testing.T) {
 	}
 }
 
-func TestFloodMaxBothEngines(t *testing.T) {
+func TestFloodMax(t *testing.T) {
 	g := graph.RandomRegular(40, 3, 3)
 	tp := FromGraph(g)
 	rounds := 40 // ≥ diameter
 
-	outSeq := make([]int, tp.N())
-	statsSeq, err := RunSequential(tp, floodFactory(rounds, outSeq), nil)
+	out := make([]int, tp.N())
+	stats, err := Sequential.Run(tp, floodFactory(rounds, out), nil)
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatal(err)
 	}
-	outGo := make([]int, tp.N())
-	statsGo, err := RunGoroutines(tp, floodFactory(rounds, outGo), nil)
-	if err != nil {
-		t.Fatalf("goroutines: %v", err)
-	}
-	for i := range outSeq {
-		if outSeq[i] != tp.N()-1 {
-			t.Fatalf("entity %d learned max %d, want %d", i, outSeq[i], tp.N()-1)
-		}
-		if outSeq[i] != outGo[i] {
-			t.Fatalf("engines disagree at entity %d: %d vs %d", i, outSeq[i], outGo[i])
+	for i := range out {
+		if out[i] != tp.N()-1 {
+			t.Fatalf("entity %d learned max %d, want %d", i, out[i], tp.N()-1)
 		}
 	}
-	if statsSeq.Rounds != rounds || statsGo.Rounds != rounds {
-		t.Fatalf("rounds: seq=%d go=%d, want %d", statsSeq.Rounds, statsGo.Rounds, rounds)
-	}
-	if statsSeq.Messages != statsGo.Messages {
-		t.Fatalf("message counts differ: seq=%d go=%d", statsSeq.Messages, statsGo.Messages)
+	// Every entity sends on every port in every round, and all halt together.
+	if want := (Stats{Rounds: rounds, Messages: int64(rounds * 2 * g.M())}); stats != want {
+		t.Fatalf("stats %+v, want %+v", stats, want)
 	}
 }
 
@@ -186,11 +176,8 @@ func TestPortWiring(t *testing.T) {
 			f := func(v View) Protocol {
 				return &portEcho{v: v, expected: tp.Ports[v.Index], t: t}
 			}
-			if _, err := RunSequential(tp, f, nil); err != nil {
-				t.Fatalf("sequential: %v", err)
-			}
-			if _, err := RunGoroutines(tp, f, nil); err != nil {
-				t.Fatalf("goroutines: %v", err)
+			if _, err := Sequential.Run(tp, f, nil); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -206,11 +193,12 @@ func neverFactory(v View) Protocol                { return &neverHalt{v: v} }
 func TestRoundLimit(t *testing.T) {
 	tp := FromGraph(graph.Cycle(4))
 	opts := &Options{MaxRounds: 10}
-	if _, err := RunSequential(tp, neverFactory, opts); !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("sequential: err = %v, want ErrRoundLimit", err)
+	stats, err := Sequential.Run(tp, neverFactory, opts)
+	if !errors.Is(err, ErrRoundLimit) {
+		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
-	if _, err := RunGoroutines(tp, neverFactory, opts); !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("goroutines: err = %v, want ErrRoundLimit", err)
+	if stats.Rounds != 10 {
+		t.Fatalf("rounds = %d, want 10", stats.Rounds)
 	}
 }
 
@@ -233,45 +221,34 @@ func (s *staggeredHalt) Receive(r int, inbox []Message) bool {
 func TestStaggeredHalting(t *testing.T) {
 	tp := FromGraph(graph.Complete(8))
 	f := func(v View) Protocol { return &staggeredHalt{v: v} }
-	seq, err := RunSequential(tp, f, nil)
+	stats, err := Sequential.Run(tp, f, nil)
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatal(err)
 	}
-	gor, err := RunGoroutines(tp, f, nil)
-	if err != nil {
-		t.Fatalf("goroutines: %v", err)
-	}
-	if seq.Rounds != 8 || gor.Rounds != 8 {
-		t.Fatalf("rounds seq=%d go=%d, want 8 (last entity halts after round 8)", seq.Rounds, gor.Rounds)
-	}
-	if seq.Messages != gor.Messages {
-		t.Fatalf("messages differ: seq=%d go=%d", seq.Messages, gor.Messages)
+	// Entity i sends on its 7 ports in rounds 1..i+1; the last halts after
+	// round 8.
+	if want := (Stats{Rounds: 8, Messages: 7 * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8)}); stats != want {
+		t.Fatalf("stats %+v, want %+v", stats, want)
 	}
 }
 
 func TestEmptyTopology(t *testing.T) {
 	g := graph.New(5) // nodes, no edges
 	tp := EdgeConflict(g)
-	stats, err := RunSequential(tp, neverFactory, &Options{MaxRounds: 1})
+	stats, err := Sequential.Run(tp, neverFactory, &Options{MaxRounds: 1})
 	if err != nil {
-		t.Fatalf("sequential on empty: %v", err)
+		t.Fatal(err)
 	}
-	if stats.Rounds != 0 {
-		t.Fatalf("rounds = %d, want 0", stats.Rounds)
-	}
-	if _, err := RunGoroutines(tp, neverFactory, &Options{MaxRounds: 1}); err != nil {
-		t.Fatalf("goroutines on empty: %v", err)
+	if stats != (Stats{}) {
+		t.Fatalf("stats = %+v, want zero", stats)
 	}
 }
 
 func TestSendLengthMismatchRejected(t *testing.T) {
 	tp := FromGraph(graph.Cycle(4))
 	bad := func(v View) Protocol { return badSender{} }
-	if _, err := RunSequential(tp, bad, nil); err == nil {
-		t.Fatal("sequential accepted wrong outbox length")
-	}
-	if _, err := RunGoroutines(tp, bad, nil); err == nil {
-		t.Fatal("goroutines accepted wrong outbox length")
+	if _, err := Sequential.Run(tp, bad, nil); err == nil {
+		t.Fatal("accepted wrong outbox length")
 	}
 }
 

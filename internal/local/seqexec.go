@@ -7,15 +7,18 @@ import (
 	"github.com/distec/distec/internal/trace"
 )
 
-// SeqExec is the step-driven form of the sequential engine: Prepare the
-// state once, then call Round (one synchronous round, exactly one iteration
-// of RunSequential's loop) until it reports completion. RunSequential is a
-// thin wrapper over it, so the two are bit-identical by construction.
+// SeqExec is the sequential engine's round loop: NewSeqExec builds the
+// per-entity state, then each Round call executes one synchronous round
+// until it reports completion. Sequential.Run drives it to completion in
+// one call; the serving layer instead runs it in bounded time slices
+// (Rounds), so a shared worker lane can run a large execution without
+// holding the lane for the whole run, at full sequential speed — no
+// barriers, no cross-goroutine handoff. Not safe for concurrent use.
 //
-// The step form exists for the serving layer: a shared worker lane can run
-// a large execution in bounded time slices (Rounds) instead of holding the
-// lane for the whole run, at full sequential speed — no barriers, no
-// cross-goroutine handoff. Not safe for concurrent use.
+// Inbox buffers are cleared sparsely (only slots written in a buffer's
+// previous use), so a round's cost is O(active entities + messages) rather
+// than O(total ports) — essential for long, sparse schedules such as the
+// one-class-per-round greedy phases.
 type SeqExec struct {
 	t        *Topology
 	opts     *Options
@@ -76,8 +79,8 @@ func NewSeqExec(t *Topology, f Factory, opts *Options) *SeqExec {
 // Done reports whether the execution has finished (successfully or not).
 func (x *SeqExec) Done() bool { return x.done }
 
-// Stats returns the execution cost so far and the first error, exactly what
-// RunSequential would have returned; final once Done reports true.
+// Stats returns the execution cost so far and the first error; final once
+// Done reports true.
 func (x *SeqExec) Stats() (Stats, error) { return x.stats, x.err }
 
 // finish marks the execution done and closes the trace span; it always

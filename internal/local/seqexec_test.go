@@ -9,12 +9,12 @@ import (
 )
 
 // TestSeqExecRoundsBudget drives a SeqExec in microscopic time slices and
-// demands bit-identical results and stats to the one-call RunSequential —
+// demands bit-identical results and stats to the one-call Sequential.Run —
 // the property the serving layer's single-lane slicing relies on.
 func TestSeqExecRoundsBudget(t *testing.T) {
 	tp := EdgeConflict(graph.Cycle(40))
 	want := make([]int, tp.N())
-	wantStats, err := RunSequential(tp, floodFactory(50, want), nil)
+	wantStats, err := Sequential.Run(tp, floodFactory(50, want), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,35 +47,42 @@ func (s *sleepy) finished(r int) bool {
 	return false
 }
 
-func TestSleeperContractBothEngines(t *testing.T) {
+// ticked hides a protocol's SparseReceiver and Sleeper fast paths, so the
+// engine calls Receive on it in every round until it halts.
+type ticked struct{ Protocol }
+
+// TestSleeperContract runs the sleeper protocol with its fast path and
+// with every entity ticked each round: skipping a sleeper is a no-op by
+// contract, so results and stats must be identical.
+func TestSleeperContract(t *testing.T) {
 	g := graph.Complete(9)
 	tp := FromGraph(g)
-	run := func(rn Runner) ([]int, Stats) {
+	run := func(wrap func(Protocol) Protocol) ([]int, Stats) {
 		out := make([]int, tp.N())
-		stats, err := rn(tp, func(v View) Protocol { return &sleepy{v: v, out: out} }, nil)
+		stats, err := Sequential.Run(tp, func(v View) Protocol { return wrap(&sleepy{v: v, out: out}) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out, stats
 	}
-	seqOut, seqStats := run(RunSequential)
-	gorOut, gorStats := run(RunGoroutines)
-	if seqStats != gorStats {
-		t.Fatalf("stats differ: %+v vs %+v", seqStats, gorStats)
+	sleptOut, sleptStats := run(func(p Protocol) Protocol { return p })
+	tickedOut, tickedStats := run(func(p Protocol) Protocol { return ticked{p} })
+	if sleptStats != tickedStats {
+		t.Fatalf("stats differ: slept %+v vs ticked %+v", sleptStats, tickedStats)
 	}
-	for i := range seqOut {
-		if seqOut[i] != gorOut[i] {
-			t.Fatalf("entity %d: seq %d vs gor %d", i, seqOut[i], gorOut[i])
+	for i := range sleptOut {
+		if sleptOut[i] != tickedOut[i] {
+			t.Fatalf("entity %d: slept %d vs ticked %d", i, sleptOut[i], tickedOut[i])
 		}
 		// Entity i halts in round i+1 having heard announcements of all
 		// lower-index neighbors (each announced in an earlier or equal
 		// round; equal-round announcements are delivered that round).
-		if seqOut[i] != i {
-			t.Fatalf("entity %d heard %d announcements, want %d", i, seqOut[i], i)
+		if sleptOut[i] != i {
+			t.Fatalf("entity %d heard %d announcements, want %d", i, sleptOut[i], i)
 		}
 	}
-	if seqStats.Rounds != tp.N() {
-		t.Fatalf("rounds = %d, want %d", seqStats.Rounds, tp.N())
+	if sleptStats.Rounds != tp.N() {
+		t.Fatalf("rounds = %d, want %d", sleptStats.Rounds, tp.N())
 	}
 }
 
@@ -127,7 +134,7 @@ func TestSleeperWokenByMessage(t *testing.T) {
 	g := graph.Star(6) // center 0 broadcasts round 1
 	tp := FromGraph(g)
 	out := make([]int, tp.N())
-	if _, err := RunSequential(tp, func(v View) Protocol { return &lateSleeper{v: v, out: out} }, nil); err != nil {
+	if _, err := Sequential.Run(tp, func(v View) Protocol { return &lateSleeper{v: v, out: out} }, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < tp.N(); i++ {

@@ -21,8 +21,8 @@
 //     of constraints on edge e is at most deg(e) < |Le|.
 //
 // Total: O(log* n) + 6Δ rounds, implemented as a genuine message-passing
-// protocol on the node topology (one goroutine per *node* under
-// local.Goroutines, unlike the edge-entity algorithms elsewhere).
+// protocol on the node topology (the entities are the graph's *nodes*,
+// unlike the edge-entity algorithms elsewhere).
 package pseudoforest
 
 import (

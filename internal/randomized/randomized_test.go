@@ -5,6 +5,7 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
+	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/verify"
 )
 
@@ -137,7 +138,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := Solve(g, nil, lists, 11, local.Goroutines)
+	b, sb, err := Solve(g, nil, lists, 11, sharded.New(sharded.Config{Shards: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

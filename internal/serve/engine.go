@@ -17,7 +17,7 @@ import (
 type jobEngine struct {
 	p *Pool
 	// ctx is the job's context, carried so the fixed local.Engine interface
-	// (Name/Interrupt/Run take no ctx — six engines share it) can observe
+	// (Name/Interrupt/Run take no ctx — every engine implements it) can observe
 	// the job's deadline. The adapter lives exactly one job execution, so
 	// the stored ctx cannot outlive its call.
 	//distec:nolint ctxflow
@@ -90,7 +90,7 @@ func (p *Pool) runOnLane(ctx context.Context, t *local.Topology, f local.Factory
 		err   error
 	)
 	if lerr := p.onLane(ctx, func() {
-		stats, err = local.RunSequential(t, f, opts)
+		stats, err = local.Sequential.Run(t, f, opts)
 	}); lerr != nil {
 		return local.Stats{}, lerr
 	}

@@ -10,6 +10,8 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
+	"github.com/distec/distec/internal/sharded"
+	"github.com/distec/distec/internal/trace"
 )
 
 // floodMax broadcasts the largest index seen for a fixed number of rounds.
@@ -94,7 +96,7 @@ func TestPoolRoutesMatchSequential(t *testing.T) {
 	}
 	for _, tp := range topologies {
 		want := make([]int, tp.N())
-		wantStats, err := local.RunSequential(tp, floodFactory(24, want), nil)
+		wantStats, err := local.Sequential.Run(tp, floodFactory(24, want), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,6 +111,49 @@ func TestPoolRoutesMatchSequential(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("config %d entity %d: got %d, want %d", ci, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestShardedTraceSpans pins what a traced sharded execution reports on
+// both of its drivers: Engine.Run names its span after the engine
+// ("sharded-3"), a pool fan-out job "sharded", and both carry one busy
+// time per shard on every round.
+func TestShardedTraceSpans(t *testing.T) {
+	tp := local.EdgeConflict(graph.RandomRegular(48, 4, 3))
+	p := New(Options{Workers: 3, SmallJob: -1})
+	defer p.Close()
+	const rounds = 6
+	for _, c := range []struct {
+		engine string
+		run    func(opts *local.Options) error
+	}{
+		{"sharded-3", func(opts *local.Options) error {
+			_, err := sharded.New(sharded.Config{Shards: 3}).Run(tp, floodFactory(rounds, make([]int, tp.N())), opts)
+			return err
+		}},
+		{"sharded", func(opts *local.Options) error {
+			return p.Do(context.Background(), func(eng local.Engine) error {
+				_, err := eng.Run(tp, floodFactory(rounds, make([]int, tp.N())), opts)
+				return err
+			})
+		}},
+	} {
+		tr := trace.New()
+		if err := c.run(&local.Options{Trace: tr}); err != nil {
+			t.Fatalf("%s: %v", c.engine, err)
+		}
+		spans := tr.Spans()
+		if len(spans) != 1 || spans[0].Engine != c.engine {
+			t.Fatalf("%s: spans %+v, want one from engine %q", c.engine, spans, c.engine)
+		}
+		if len(spans[0].Rounds) != rounds {
+			t.Fatalf("%s: %d round events, want %d", c.engine, len(spans[0].Rounds), rounds)
+		}
+		for _, ev := range spans[0].Rounds {
+			if len(ev.ShardBusy) != 3 {
+				t.Fatalf("%s round %d: %d shard busy times, want 3", c.engine, ev.Round, len(ev.ShardBusy))
 			}
 		}
 	}
@@ -174,7 +219,7 @@ func TestPoolConcurrentJobs(t *testing.T) {
 			t.Fatalf("job %d: %v", j, errs[j])
 		}
 		want := make([]int, tps[j].N())
-		if _, err := local.RunSequential(tps[j], floodFactory(16, want), nil); err != nil {
+		if _, err := local.Sequential.Run(tps[j], floodFactory(16, want), nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {

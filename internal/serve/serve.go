@@ -8,7 +8,7 @@
 // routes every execution onto the shared lanes:
 //
 //   - Small topologies take the fast path: the whole execution runs as one
-//     task on one lane via local.RunSequential, the fastest engine for
+//     task on one lane via local.Sequential, the fastest engine for
 //     small instances — no barriers, no cross-goroutine handoff.
 //   - Large topologies run step-driven: with several lanes the per-shard
 //     phase work of each round fans out across them (sharded.Exec); with
@@ -23,8 +23,9 @@
 // their context is done. The pool keeps running metrics (job counts, queue
 // depth, p50/p99 latency, LOCAL rounds and messages served); see Stats.
 //
-// Results are bit-identical to local.RunSequential for every protocol in
-// the repository: both routes reuse engines with exactly that guarantee.
+// Results are bit-identical to local.Sequential for every protocol in the
+// repository: every route reuses an engine round loop with exactly that
+// guarantee.
 package serve
 
 import (

@@ -1,41 +1,36 @@
-// Package sharded implements the worker-pool execution engine for LOCAL
-// protocols: entities are partitioned into contiguous shards (one worker
-// goroutine per shard, one shard per core by default), messages travel in
-// double-buffered per-shard batches handed over at round boundaries, and all
-// per-round buffers are reused, keeping the hot path allocation-free.
+// Package sharded implements the parallel execution engine for LOCAL
+// protocols. Entities are partitioned into contiguous shards of near-equal
+// work; every round runs all shards' send phases in parallel, then all
+// shards' deliver-and-receive phases, with a barrier after each. Messages
+// cross shards in double-buffered per-shard batches handed over at the
+// send barrier, and all per-round buffers are reused, keeping the hot path
+// allocation-free.
 //
-// Compared to the goroutine-per-entity engine, the synchronization cost of a
-// round drops from Θ(entities) barrier operations and one channel operation
-// per message to two barriers across the worker pool and one slice append
-// per message. Compared to the sequential engine, rounds run in parallel
-// across shards. Error-free runs are bit-identical to local.RunSequential
-// for every protocol in the repository (on a protocol error, each shard
-// stops sending at its own first bad entity, so the partial message count
-// returned with the error may differ from the sequential engine's): the
-// receive order within a shard is ascending
-// entity order, inboxes are port-indexed (so delivery order is immaterial),
-// and the sparse/sleeper fast paths mirror the sequential engine exactly.
+// Exec is the engine's one round loop. Engine.Run drives an Exec to
+// completion, fanning each phase out on fresh goroutines; internal/serve
+// drives Execs through its shared worker lanes instead. A round costs two
+// barriers across the shards (not across entities) and one slice append
+// per message, and its shards run in parallel. Error-free runs are
+// bit-identical to local.Sequential for every protocol in the repository
+// (on a protocol error, each shard stops sending at its own first bad
+// entity, so the partial message count returned with the error may differ
+// from the sequential engine's): the receive order within a shard is
+// ascending entity order, inboxes are port-indexed (so delivery order is
+// immaterial), and the sparse/sleeper fast paths mirror the sequential
+// engine exactly.
 package sharded
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"github.com/distec/distec/internal/local"
 )
 
 // Config tunes the engine.
 type Config struct {
-	// Shards is the worker count; ≤0 selects runtime.GOMAXPROCS(0) (one
+	// Shards is the shard count; ≤0 selects runtime.GOMAXPROCS(0) (one
 	// shard per core). The effective count never exceeds the entity count.
 	Shards int
-	// Collect, when non-nil, receives the detailed execution stats of every
-	// Run, including runs that end in an error (the stats then cover the
-	// rounds executed up to it). Enabling it adds four monotonic clock reads
-	// per worker per round (one pair around each of the two work phases).
-	Collect func(*RunStats)
 }
 
 // Engine is the sharded execution engine. The zero value is valid and uses
@@ -59,113 +54,12 @@ func (e *Engine) Name() string {
 	return "sharded"
 }
 
-// ShardStats is the per-shard breakdown of one execution.
-type ShardStats struct {
-	// Entities is the number of entities owned by the shard.
-	Entities int
-	// Weight is the partitioner's work estimate for the shard (Σ degree+1).
-	Weight int64
-	// Sent is the number of messages produced by the shard's entities.
-	Sent int64
-	// Delivered is the number of messages delivered into the shard.
-	Delivered int64
-	// Busy is the time spent in send/deliver/receive phases (excludes
-	// barrier waits). Zero unless Config.Collect is set.
-	Busy time.Duration
-}
-
-// RunStats reports one execution in detail (see Config.Collect).
-type RunStats struct {
-	// Shards is the effective worker count.
-	Shards int
-	// Rounds and Messages match the local.Stats returned by Run.
-	Rounds   int
-	Messages int64
-	// Wall is the total wall-clock time of the run.
-	Wall time.Duration
-	// PerShard holds one entry per shard.
-	PerShard []ShardStats
-}
-
-// Run implements local.Engine. It executes the protocol with the configured
-// worker pool; error-free runs return stats bit-identical to
-// local.RunSequential.
+// Run implements local.Engine: it prepares an Exec and drives its rounds to
+// completion on fresh goroutines (GoExecutor). Error-free runs return stats
+// bit-identical to local.Sequential.
 func (e *Engine) Run(t *local.Topology, f local.Factory, opts *local.Options) (local.Stats, error) {
-	start := time.Now()
-	n := t.N()
-	span := opts.Tracer().StartSpan(e.Name(), n)
-	shards := e.cfg.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	x := prepare(t, f, opts, e.cfg.Shards, GoExecutor, e.Name())
+	for !x.Round(GoExecutor) {
 	}
-	if shards > n {
-		shards = n
-	}
-	if n == 0 {
-		if e.cfg.Collect != nil {
-			e.cfg.Collect(&RunStats{Wall: time.Since(start)})
-		}
-		span.End(nil)
-		return local.Stats{}, nil
-	}
-
-	weights := make([]int, n)
-	for i := range weights {
-		weights[i] = len(t.Ports[i]) + 1
-	}
-	bounds := Partition(weights, shards)
-	shards = len(bounds) - 1
-	shardOf := shardMap(bounds, n)
-
-	workers := make([]*worker, shards)
-	st := &runState{limit: opts.RoundLimit(), interrupt: interruptOf(opts), active: make([]int64, shards), span: span, lastEnd: start}
-	ph := newPhaser(shards)
-	// Tracing needs the phase timers on: per-round ShardBusy is the busy
-	// deltas, and skew between shards is the partitioner's imbalance.
-	timed := e.cfg.Collect != nil || span != nil
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for s := 0; s < shards; s++ {
-		go func(s int) {
-			defer wg.Done()
-			// Protocol construction is part of the parallel region: factories
-			// are concurrency-safe by the goroutine engine's existing contract.
-			w := newWorker(s, bounds[s], bounds[s+1], shards, t, f)
-			workers[s] = w
-			ph.arrive(nil) // all workers constructed before any round starts
-			w.loop(t, st, ph, shardOf, workers, timed)
-		}(s)
-	}
-	wg.Wait()
-
-	stats := local.Stats{Rounds: st.rounds}
-	for _, w := range workers {
-		stats.Messages += w.sent
-	}
-	if e.cfg.Collect != nil {
-		rs := &RunStats{
-			Shards:   shards,
-			Rounds:   stats.Rounds,
-			Messages: stats.Messages,
-			Wall:     time.Since(start),
-			PerShard: make([]ShardStats, shards),
-		}
-		for s, w := range workers {
-			var weight int64
-			for i := w.lo; i < w.hi; i++ {
-				weight += int64(weights[i])
-			}
-			rs.PerShard[s] = ShardStats{
-				Entities:  w.hi - w.lo,
-				Weight:    weight,
-				Sent:      w.sent,
-				Delivered: w.delivered,
-				Busy:      w.busy,
-			}
-		}
-		e.cfg.Collect(rs)
-	}
-	err := st.getErr()
-	span.End(err)
-	return stats, err
+	return x.Stats()
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Executor schedules tasks onto workers owned by someone else. It is the
-// seam that detaches the sharded scheduler from a single Run: an Exec fans
-// its per-shard phase work out through an Executor instead of spawning its
-// own goroutines, so one long-lived worker pool (internal/serve) can
+// seam that detaches the sharded round from any one goroutine pool: an
+// Exec fans its per-shard phase work out through an Executor instead of
+// owning goroutines, so one long-lived worker pool (internal/serve) can
 // multiplex the rounds of many concurrent executions.
 //
 // Execute must run every task exactly once, on any goroutine, and may block
@@ -24,7 +24,7 @@ type Executor interface {
 }
 
 // goExecutor is the trivial executor: one fresh goroutine per task. It is
-// what tests use when no shared pool is around.
+// what Engine.Run drives its Exec with.
 type goExecutor struct{}
 
 func (goExecutor) Execute(task func()) { go task() }
@@ -33,14 +33,13 @@ func (goExecutor) Execute(task func()) { go task() }
 var GoExecutor Executor = goExecutor{}
 
 // Exec is one in-flight execution whose rounds are driven externally: build
-// it with Prepare, then call Round (or Rounds) until it reports completion,
-// then read Stats. In contrast to Engine.Run — which owns its workers for
-// the whole execution and synchronizes them with persistent barriers — an
-// Exec holds no goroutines at all between steps, so many Execs can share
-// one worker pool, interleaving at round granularity.
+// it with Prepare, then call Round until it reports completion, then read
+// Stats. An Exec holds no goroutines between steps, so many Execs can share
+// one worker pool, interleaving at round granularity; Engine.Run drives the
+// same loop on fresh goroutines.
 //
-// Error-free executions are bit-identical to Engine.Run and to
-// local.RunSequential: identical colors, rounds, and message counts.
+// Error-free executions are bit-identical to local.Sequential: identical
+// colors, rounds, and message counts.
 //
 // The driving goroutine must not call Round concurrently with itself; the
 // parallelism is inside a round, across shards.
@@ -50,6 +49,7 @@ type Exec struct {
 	st      *runState
 	workers []*worker
 	shardOf []int32
+	limit   int
 	par     int
 	r       int
 	done    bool
@@ -64,15 +64,24 @@ type Exec struct {
 	// Round fans them out without allocating a closure per round. The
 	// driver writes x.r/x.par strictly before each fan-out and the
 	// WaitGroup barrier in each orders those writes against the tasks.
+	// When traced, each also adds its wall time to its shard's busy time.
 	sendTask func(s int, w *worker)
 	recvTask func(s int, w *worker)
 }
 
 // Prepare partitions the topology into at most shards blocks (≤0 selects
-// one per core, clamped to the entity count as in Engine.Run) and constructs
-// the per-shard protocol state, fanning construction out through exec (nil
-// runs it inline). The returned Exec has executed zero rounds.
+// one per core, clamped to the entity count) and constructs the per-shard
+// protocol state, fanning construction out through exec (nil runs it
+// inline): the Factory is called from every shard's task at once. The
+// returned Exec has executed zero rounds.
 func Prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int, exec Executor) *Exec {
+	return prepare(t, f, opts, shards, exec, "sharded")
+}
+
+// prepare is Prepare with the engine name its trace span reports:
+// Engine.Run names spans after itself ("sharded-3"), pool-driven
+// executions "sharded".
+func prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int, exec Executor, name string) *Exec {
 	n := t.N()
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -80,7 +89,7 @@ func Prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 	if shards > n {
 		shards = n
 	}
-	x := &Exec{t: t, opts: opts, span: opts.Tracer().StartSpan("sharded", n)}
+	x := &Exec{t: t, opts: opts, limit: opts.RoundLimit(), span: opts.Tracer().StartSpan(name, n)}
 	if n == 0 {
 		x.done = true
 		x.span.End(nil)
@@ -93,28 +102,34 @@ func Prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 	bounds := Partition(weights, shards)
 	shards = len(bounds) - 1
 	x.shardOf = shardMap(bounds, n)
-	x.st = &runState{limit: opts.RoundLimit(), interrupt: interruptOf(opts), active: make([]int64, shards)}
+	x.st = &runState{}
 	x.workers = make([]*worker, shards)
 	x.each(exec, func(s int, _ *worker) {
 		x.workers[s] = newWorker(s, bounds[s], bounds[s+1], shards, t, f)
 	})
+	traced := x.span != nil
 	x.sendTask = func(_ int, w *worker) {
+		var start time.Time
+		if traced {
+			start = time.Now()
+		}
 		w.sendPhase(x.r, x.par, x.t, x.shardOf, x.st)
+		if traced {
+			w.busy += time.Since(start)
+		}
 	}
 	x.recvTask = func(_ int, w *worker) {
+		var start time.Time
+		if traced {
+			start = time.Now()
+		}
 		w.deliverPhase(x.par, x.workers)
 		w.receivePhase(x.r, x.par)
+		if traced {
+			w.busy += time.Since(start)
+		}
 	}
 	return x
-}
-
-// interruptOf extracts the interrupt hook of opts (nil-safe) in the closure
-// form runState wants.
-func interruptOf(opts *local.Options) func() error {
-	if opts == nil || opts.Interrupt == nil {
-		return nil
-	}
-	return opts.Interrupt
 }
 
 // Shards returns the effective shard count.
@@ -123,9 +138,9 @@ func (x *Exec) Shards() int { return len(x.workers) }
 // Done reports whether the execution has finished (successfully or not).
 func (x *Exec) Done() bool { return x.done }
 
-// Stats returns the execution cost so far and the first error, mirroring
-// what Engine.Run would have returned. It may be called between rounds (not
-// concurrently with one); the result is final once Done reports true.
+// Stats returns the execution cost so far and the first error. It may be
+// called between rounds (not concurrently with one); the result is final
+// once Done reports true.
 func (x *Exec) Stats() (local.Stats, error) {
 	if x.st == nil {
 		return local.Stats{}, nil
@@ -141,8 +156,9 @@ func (x *Exec) Stats() (local.Stats, error) {
 
 // each runs f for every shard and waits for all of them: through exec when
 // given and more than one shard exists, inline otherwise. The WaitGroup is
-// the inter-phase barrier; its Wait/Done edges give the same happens-before
-// guarantees the phaser gives Engine.Run.
+// the inter-phase barrier: every write a task makes happens before Wait
+// returns, and every write the driver made before the fan-out happens
+// before the tasks run.
 //
 // A panic on a fanned-out task is recorded as the execution's error rather
 // than unwinding the executor's worker goroutine (which, on a shared pool,
@@ -186,15 +202,13 @@ func (x *Exec) Round(exec Executor) bool {
 	r := x.r + 1
 	x.r = r
 	st := x.st
-	if r > st.limit {
-		st.recordErr(-1, fmt.Errorf("%w (limit %d)", local.ErrRoundLimit, st.limit))
+	if r > x.limit {
+		st.recordErr(-1, fmt.Errorf("%w (limit %d)", local.ErrRoundLimit, x.limit))
 		return x.finish()
 	}
-	if st.interrupt != nil {
-		if err := st.interrupt(); err != nil {
-			st.recordErr(-1, err)
-			return x.finish()
-		}
+	if err := x.opts.Interrupted(); err != nil {
+		st.recordErr(-1, err)
+		return x.finish()
 	}
 	var roundStart time.Time
 	if x.span != nil {
@@ -212,19 +226,22 @@ func (x *Exec) Round(exec Executor) bool {
 	if x.span != nil && st.getErr() == nil {
 		var msgs int64
 		received, halted := 0, 0
-		for _, w := range x.workers {
+		busy := make([]time.Duration, len(x.workers))
+		for s, w := range x.workers {
 			msgs += w.sent
 			received += w.rReceived
 			halted += w.rHalted
+			busy[s], w.busy = w.busy, 0
 		}
 		msgs, x.prevSent = msgs-x.prevSent, msgs
 		x.span.Round(trace.RoundEvent{
-			Round:    r,
-			Duration: time.Since(roundStart),
-			Messages: msgs,
-			Received: received,
-			Halted:   halted,
-			Active:   total,
+			Round:     r,
+			Duration:  time.Since(roundStart),
+			Messages:  msgs,
+			Received:  received,
+			Halted:    halted,
+			Active:    total,
+			ShardBusy: busy,
 		})
 	}
 	if total == 0 || st.getErr() != nil {
@@ -235,7 +252,7 @@ func (x *Exec) Round(exec Executor) bool {
 }
 
 // finish seals the execution: message totals are aggregated once, so Stats
-// stays O(shards) and matches Engine.Run exactly.
+// stays O(shards).
 func (x *Exec) finish() bool {
 	x.done = true
 	for _, w := range x.workers {

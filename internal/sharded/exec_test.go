@@ -57,7 +57,7 @@ func TestExecMatchesSequential(t *testing.T) {
 					return &floodMax{v: v, rounds: rounds, best: v.Index, out: out}
 				}
 			}
-			wantStats, err := local.RunSequential(tp, f(want), nil)
+			wantStats, err := local.Sequential.Run(tp, f(want), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,6 +83,16 @@ func TestExecMatchesSequential(t *testing.T) {
 	}
 }
 
+// stepEngine runs every execution through Prepare with four shards,
+// driven on fresh goroutines.
+type stepEngine struct{}
+
+func (stepEngine) Name() string { return "exec-4" }
+
+func (stepEngine) Run(tp *local.Topology, f local.Factory, opts *local.Options) (local.Stats, error) {
+	return drive(Prepare(tp, f, opts, 4, GoExecutor), GoExecutor)
+}
+
 // TestExecSleeperAndLinial covers the sleeper fast path and a real protocol
 // through the step scheduler.
 func TestExecSleeperAndLinial(t *testing.T) {
@@ -91,7 +101,7 @@ func TestExecSleeperAndLinial(t *testing.T) {
 		return func(v local.View) local.Protocol { return &sleepy{v: v, out: out} }
 	}
 	want := make([]int, tp.N())
-	wantStats, err := local.RunSequential(tp, f(want), nil)
+	wantStats, err := local.Sequential.Run(tp, f(want), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +131,7 @@ func TestExecSleeperAndLinial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepEngine := local.EngineFunc("exec-4", func(tp *local.Topology, f local.Factory, opts *local.Options) (local.Stats, error) {
-		return drive(Prepare(tp, f, opts, 4, GoExecutor), GoExecutor)
-	})
-	gotC, gotS, err := linial.Reduce(ec, init, ec.N(), stepEngine)
+	gotC, gotS, err := linial.Reduce(ec, init, ec.N(), stepEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +201,8 @@ func TestExecInterrupt(t *testing.T) {
 	}
 }
 
-// TestRunInterrupt covers the interrupt seam of the persistent-worker Run
-// loop (checked in the end-of-round hook).
+// TestRunInterrupt covers the interrupt seam through Engine.Run, inline
+// (one shard) and fanned out.
 func TestRunInterrupt(t *testing.T) {
 	boom := errors.New("cancelled")
 	polls := 0

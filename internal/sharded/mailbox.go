@@ -4,8 +4,8 @@ import "github.com/distec/distec/internal/local"
 
 // delivery is one message batched for handoff between shards: the
 // destination entity, the destination port, and the payload. Batching
-// replaces the goroutine engine's per-message channel operation with an
-// append to a slice that is handed over wholesale at the round boundary.
+// makes a message one slice append, and the batch is handed over wholesale
+// at the send barrier.
 type delivery struct {
 	to   int32
 	port int32

@@ -6,107 +6,14 @@ import (
 	"time"
 
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/trace"
 )
 
-// phaser is a reusable barrier for the worker pool. The last worker to
-// arrive runs the supplied hook while holding the lock, which is where the
-// per-round global decisions (halt detection, error propagation) happen
-// without any extra synchronization. With one participant it degenerates to
-// a plain function call.
-type phaser struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	arrived int
-	gen     uint64
-}
-
-func newPhaser(parties int) *phaser {
-	p := &phaser{parties: parties}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// arrive blocks until all parties have arrived; the last arrival runs
-// onLast (may be nil) before releasing the others. The phaser's lock gives
-// every value written before an arrive a happens-before edge to every read
-// after it returns, which is what makes the engine's shared round state
-// safe to read barrier-to-barrier without atomics.
-func (p *phaser) arrive(onLast func()) {
-	p.mu.Lock()
-	gen := p.gen
-	p.arrived++
-	if p.arrived == p.parties {
-		if onLast != nil {
-			onLast()
-		}
-		p.arrived = 0
-		p.gen++
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		return
-	}
-	for gen == p.gen {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
-
-// runState is the cross-shard state of one execution. Fields below errMu are
-// written under errMu; stop/rounds are written only inside phaser hooks and
-// read only after the corresponding arrive, so the phaser orders them.
+// runState is the cross-shard state of one execution: the first error,
+// which any shard's task may record.
 type runState struct {
-	limit     int
-	interrupt func() error // polled once per round (end-of-round hook)
-	active    []int64      // per-shard count of still-active entities
-	stop      bool
-	rounds    int
-
-	// span, when non-nil, receives one event per completed round, emitted
-	// from the end-of-round phaser hook (lastEnd tracks the previous
-	// emission time). The hook holds the phaser lock, so every worker's
-	// per-round counters are visible without extra synchronization.
-	span    *trace.Span
-	lastEnd time.Time
-
 	errMu     sync.Mutex
 	err       error
 	errEntity int // lowest-index entity that reported err, for determinism
-}
-
-// emitRound rolls the workers' per-round counters into one trace event.
-// Called only from a phaser onLast hook (phaser lock held) and only when
-// span is non-nil and the round completed without error.
-func (st *runState) emitRound(r int, workers []*worker, timed bool) {
-	now := time.Now()
-	var msgs int64
-	received, halted, active := 0, 0, 0
-	var busy []time.Duration
-	if timed {
-		busy = make([]time.Duration, len(workers))
-	}
-	for s, w := range workers {
-		msgs += w.sent - w.prevSent
-		w.prevSent = w.sent
-		received += w.rReceived
-		halted += w.rHalted
-		active += len(w.active)
-		if timed {
-			busy[s] = w.busy - w.prevBusy
-			w.prevBusy = w.busy
-		}
-	}
-	st.span.Round(trace.RoundEvent{
-		Round:     r,
-		Duration:  now.Sub(st.lastEnd),
-		Messages:  msgs,
-		Received:  received,
-		Halted:    halted,
-		Active:    active,
-		ShardBusy: busy,
-	})
-	st.lastEnd = now
 }
 
 // recordErr keeps the error of the lowest-index reporting entity so the
@@ -134,9 +41,9 @@ type slot struct {
 }
 
 // worker owns one contiguous block of entities: their protocol state, their
-// double-buffered inboxes, and the outbox batches they produce. All mutation
-// of a worker's fields happens on its own goroutine; cross-shard data flows
-// only through outbox batches read strictly after a barrier.
+// double-buffered inboxes, and the outbox batches they produce. Within a
+// phase only the shard's own task mutates its fields; cross-shard data
+// flows only through outbox batches read strictly after a barrier.
 type worker struct {
 	id     int
 	lo, hi int // owned entity range [lo, hi)
@@ -152,17 +59,14 @@ type worker struct {
 	touched [2][]slot
 	out     outbox
 
-	sent      int64
-	delivered int64
-	busy      time.Duration
+	sent int64
 
 	// Per-round trace counters: receivePhase records the entities that had
-	// a delivery and the entities that halted; the end-of-round hook reads
-	// them and tracks cumulative-counter deltas via prevSent/prevBusy.
+	// a delivery and the entities that halted, and traced phase tasks add
+	// their wall time to busy; Exec.Round reads them after the round.
 	rReceived int
 	rHalted   int
-	prevSent  int64
-	prevBusy  time.Duration
+	busy      time.Duration
 }
 
 func newWorker(id, lo, hi, shards int, t *local.Topology, f local.Factory) *worker {
@@ -249,7 +153,6 @@ func (w *worker) deliverPhase(par int, workers []*worker) {
 			w.inbox[par][li][d.port] = d.msg
 			w.gotMsg[li]++
 			tb = append(tb, slot{ent: li, port: d.port})
-			w.delivered++
 		}
 	}
 	w.touched[par] = tb
@@ -257,7 +160,7 @@ func (w *worker) deliverPhase(par int, workers []*worker) {
 
 // receivePhase runs Receive/ReceiveNone for the owned entities and compacts
 // the active list, preserving ascending order. The sleep/sparse logic is a
-// line-for-line mirror of RunSequential so results stay bit-identical.
+// line-for-line mirror of local.SeqExec.Round so results stay bit-identical.
 //
 //distec:hotpath
 func (w *worker) receivePhase(r, par int) {
@@ -290,65 +193,4 @@ func (w *worker) receivePhase(r, par int) {
 	}
 	w.active = keep
 	w.rReceived, w.rHalted = received, before-len(keep)
-}
-
-// loop is the per-worker round loop. Each round costs two barriers across
-// the worker pool (not across entities): one after the send phase, so every
-// batch is complete before any shard drains, and one after the receive
-// phase, where the last arrival aggregates active counts and decides
-// whether the execution halts.
-func (w *worker) loop(t *local.Topology, st *runState, ph *phaser, shardOf []int32, workers []*worker, timed bool) {
-	par := 0
-	var mark time.Time
-	begin := func() {
-		if timed {
-			mark = time.Now()
-		}
-	}
-	end := func() {
-		if timed {
-			w.busy += time.Since(mark)
-		}
-	}
-	for r := 1; ; r++ {
-		if r > st.limit {
-			// Every worker computes the same r and breaks here together, so
-			// no barrier is pending.
-			st.recordErr(-1, fmt.Errorf("%w (limit %d)", local.ErrRoundLimit, st.limit))
-			return
-		}
-		begin()
-		w.sendPhase(r, par, t, shardOf, st)
-		end()
-		ph.arrive(nil)
-		if st.getErr() == nil {
-			begin()
-			w.deliverPhase(par, workers)
-			w.receivePhase(r, par)
-			end()
-		}
-		st.active[w.id] = int64(len(w.active))
-		ph.arrive(func() {
-			st.rounds = r
-			if st.err == nil && st.interrupt != nil {
-				if err := st.interrupt(); err != nil {
-					st.recordErr(-1, err)
-				}
-			}
-			if st.span != nil && st.err == nil {
-				st.emitRound(r, workers, timed)
-			}
-			var total int64
-			for _, c := range st.active {
-				total += c
-			}
-			if total == 0 || st.err != nil {
-				st.stop = true
-			}
-		})
-		if st.stop {
-			return
-		}
-		par = 1 - par
-	}
 }

@@ -116,7 +116,7 @@ func TestFloodMaxMatchesSequential(t *testing.T) {
 					return &floodMax{v: v, rounds: rounds, best: v.Index, out: out}
 				}
 			}
-			wantStats, err := local.RunSequential(tp, f(want), nil)
+			wantStats, err := local.Sequential.Run(tp, f(want), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestSleeperMatchesSequential(t *testing.T) {
 		return func(v local.View) local.Protocol { return &sleepy{v: v, out: out} }
 	}
 	want := make([]int, tp.N())
-	wantStats, err := local.RunSequential(tp, f(want), nil)
+	wantStats, err := local.Sequential.Run(tp, f(want), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSleeperMatchesSequential(t *testing.T) {
 func TestStaggeredHaltMatchesSequential(t *testing.T) {
 	tp := local.FromGraph(graph.Complete(8))
 	f := func(v local.View) local.Protocol { return &staggered{v: v} }
-	want, err := local.RunSequential(tp, f, nil)
+	want, err := local.Sequential.Run(tp, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,48 +258,6 @@ func TestSendLengthMismatchDeterministic(t *testing.T) {
 		if !strings.Contains(err.Error(), "entity 0 ") {
 			t.Fatalf("shards=%d: error %q does not blame the lowest entity", shards, err)
 		}
-	}
-}
-
-func TestRunStatsCollected(t *testing.T) {
-	g := graph.RandomRegular(40, 4, 5)
-	tp := local.FromGraph(g)
-	var rs *RunStats
-	eng := New(Config{Shards: 4, Collect: func(s *RunStats) { rs = s }})
-	f := func(v local.View) local.Protocol {
-		return &floodMax{v: v, rounds: 5, best: v.Index, out: make([]int, tp.N())}
-	}
-	stats, err := eng.Run(tp, f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs == nil {
-		t.Fatal("Collect not called")
-	}
-	if rs.Shards != 4 || len(rs.PerShard) != 4 {
-		t.Fatalf("shards = %d / %d entries, want 4", rs.Shards, len(rs.PerShard))
-	}
-	if rs.Rounds != stats.Rounds || rs.Messages != stats.Messages {
-		t.Fatalf("RunStats %d/%d disagrees with Stats %d/%d", rs.Rounds, rs.Messages, stats.Rounds, stats.Messages)
-	}
-	var ents int
-	var sent, delivered int64
-	for _, s := range rs.PerShard {
-		if s.Entities == 0 {
-			t.Fatal("empty shard in partition")
-		}
-		ents += s.Entities
-		sent += s.Sent
-		delivered += s.Delivered
-	}
-	if ents != tp.N() {
-		t.Fatalf("shard entities sum to %d, want %d", ents, tp.N())
-	}
-	if sent != stats.Messages || delivered != stats.Messages {
-		t.Fatalf("sent=%d delivered=%d, want both %d", sent, delivered, stats.Messages)
-	}
-	if rs.Wall <= 0 {
-		t.Fatal("wall time not measured")
 	}
 }
 

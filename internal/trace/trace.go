@@ -17,9 +17,7 @@
 //   - Messages: non-nil messages sent this round (same count every
 //     engine reports in its Stats).
 //   - Received: entities, not yet halted, that had at least one message
-//     delivered this round. "Entities processed" would NOT be invariant
-//     (the goroutines engine ticks every entity each round; sequential
-//     and sharded skip sleepers), but deliveries are bit-identical.
+//     delivered this round.
 //   - Halted: entities whose Receive returned done this round.
 //   - Active: entities still running after the round's halts.
 //
@@ -160,10 +158,9 @@ type Span struct {
 	Rounds []RoundEvent
 }
 
-// Round appends one round's event. Engines emit from a single
-// goroutine per span (the driver, or a barrier/phaser last-arrival
-// hook), but the trace lock is taken anyway so exporters and the race
-// detector see a consistent stream.
+// Round appends one round's event. Engines emit from the goroutine
+// driving the execution, but the trace lock is taken anyway so
+// exporters and the race detector see a consistent stream.
 func (s *Span) Round(ev RoundEvent) {
 	if s == nil {
 		return

@@ -6,6 +6,7 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
+	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/verify"
 )
 
@@ -84,7 +85,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := Solve(g, local.Goroutines)
+	b, sb, err := Solve(g, sharded.New(sharded.Config{Shards: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
