@@ -1,8 +1,6 @@
 // Command edgecolord is the edge-coloring daemon: an HTTP/JSON front end
-// over the shared serving pool (distec.NewPool), plus a load-driving client
-// mode for exercising a running daemon.
-//
-// Serve (default):
+// over the shared serving pool (distec.NewPool) and the dynamic-session
+// registry (internal/sessions). cmd/loadgen drives load against it.
 //
 //	edgecolord -addr :8405 -workers 0 -queue 0 -cache 32
 //
@@ -31,36 +29,22 @@
 //
 //	curl -s localhost:8405/v1/session -d '{"graph":{"n":4,"edges":[[0,1],[1,2]]}}'
 //	curl -s localhost:8405/v1/session/<id>/update -d '{"updates":[{"op":"insert","u":2,"v":3}]}'
-//
-// Drive (client mode): replay a synthetic request mix against a daemon at a
-// fixed rate and report throughput and latency quantiles:
-//
-//	edgecolord -drive http://localhost:8405 -rate 20 -duration 10s -mix small=6,medium=3,large=1
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -68,12 +52,13 @@ import (
 	"github.com/distec/distec"
 	"github.com/distec/distec/internal/metrics"
 	"github.com/distec/distec/internal/persist"
+	"github.com/distec/distec/internal/sessions"
 	"github.com/distec/distec/internal/trace"
 )
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":8405", "listen address (serve mode)")
+		addr    = flag.String("addr", ":8405", "listen address")
 		workers = flag.Int("workers", 0, "pool worker lanes (0: one per core)")
 		queue   = flag.Int("queue", 0, "pool queue depth (0: 4x workers)")
 		small   = flag.Int("small", 0, "small-job entity threshold (0: default)")
@@ -92,30 +77,8 @@ func main() {
 		promoteAfter = flag.Duration("promote-after", 0, "follower: promote to serving once the leader has been unreachable this long (0: promote only on POST /v1/promote)")
 		pprofFlag    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (CPU, heap, block profiles on the live daemon)")
 		logFormat    = flag.String("log-format", "text", "structured log format on stderr: text or json")
-
-		drive    = flag.String("drive", "", "drive mode: base URL of a running daemon")
-		rate     = flag.Float64("rate", 20, "drive: requests per second")
-		duration = flag.Duration("duration", 5*time.Second, "drive: how long to drive")
-		mix      = flag.String("mix", "small=6,medium=3,large=1", "drive: request mix weights (small,medium,large)")
 	)
 	flag.Parse()
-
-	if *drive != "" {
-		classes, err := parseMix(*mix)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "edgecolord:", err)
-			os.Exit(2)
-		}
-		sum, err := driveLoad(*drive, *rate, *duration, classes, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "edgecolord:", err)
-			os.Exit(1)
-		}
-		if sum.Errors > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {
@@ -161,8 +124,9 @@ func main() {
 		os.Exit(1)
 	}
 	if *dataDir != "" {
+		c := d.sessions.Counts()
 		logger.Info("session recovery complete", "data_dir", *dataDir, "fsync", *fsyncMode,
-			"recovered", d.recovered, "failed", d.recoveryFailures)
+			"recovered", c.Recovered, "failed", c.RecoveryFailures)
 	}
 	srv := &http.Server{
 		Addr:    *addr,
@@ -251,20 +215,16 @@ const maxJobTimeout = 5 * time.Minute
 // of the connection's shared WriteTimeout.
 const responseWriteBudget = 2 * time.Minute
 
-// defaultMaxSessions bounds the number of live dynamic sessions when the
-// registry is memory-only: each pins a graph and its coloring in memory for
-// as long as the client keeps it.
-const defaultMaxSessions = 64
-
-// defaultMaxSessionsDurable is the registry bound with -data-dir: sessions
-// beyond the residency limit passivate to disk, so the registry can hold
-// far more sessions than fit in memory at once.
-const defaultMaxSessionsDurable = 4096
-
-// defaultMaxResident bounds how many durable sessions stay resident in
-// memory at once; the least-recently-used beyond it passivate to disk and
-// rehydrate transparently on their next touch.
-const defaultMaxResident = 64
+// The session registry's default bounds. A memory-only session pins its
+// graph and coloring for as long as the client keeps it, so a memory-only
+// registry holds 64. With -data-dir the least-recently-used sessions
+// beyond 64 resident ones passivate to disk, so the registry holds far
+// more than fit in memory at once.
+const (
+	defaultMaxSessions        = 64
+	defaultMaxSessionsDurable = 4096
+	defaultMaxResident        = 64
+)
 
 // maxUpdatesPerBatch bounds one session update batch; longer streams are
 // split by the client into multiple requests, each with its own timeout.
@@ -403,33 +363,19 @@ type updateResponse struct {
 	Trace *trace.Summary `json:"trace,omitempty"`
 }
 
-// daemonConfig is the serve-mode configuration newDaemon needs beyond the
-// pool: session durability and lifecycle policy.
+// daemonConfig is the configuration newDaemon needs beyond the pool:
+// session durability and lifecycle policy, replication, and observability.
 type daemonConfig struct {
-	// dataDir enables session persistence: each dynamic session lives in
-	// dataDir/<id> as a snapshot plus WAL, journaled on every applied
-	// batch, compacted in the background, and recovered on boot. Empty
-	// keeps sessions memory-only (the pre-persistence behavior).
-	dataDir string
-	// fsync selects durable writes (fsync per batch and snapshot); without
-	// it writes still reach the kernel per batch, surviving process
-	// crashes but not OS crashes.
-	fsync bool
-	// compactBytes is the per-session WAL size that triggers compaction
-	// (0: persist.DefaultCompactBytes); diffCompact serves compactions with
-	// appended differential snapshots when they are smaller than a full
-	// snapshot rewrite.
+	// The session settings become the registry's sessions.Config, which
+	// documents them; maxSessions and maxResident 0 select the defaults
+	// (see registryLimits). Without a data dir sessions are memory-only.
+	dataDir      string
+	fsync        bool
 	compactBytes int64
 	diffCompact  bool
-	// sessionTTL evicts sessions idle longer than this — the fix for
-	// abandoned sessions pinning the registry cap forever. 0 disables.
-	sessionTTL time.Duration
-	// maxSessions bounds the registry (0: 64 memory-only, 4096 with a data
-	// dir); maxResident bounds how many durable sessions are resident in
-	// memory at once (0: 64; ignored without a data dir, where every
-	// session is memory-only and can never passivate).
-	maxSessions int
-	maxResident int
+	sessionTTL   time.Duration
+	maxSessions  int
+	maxResident  int
 	// follow, when set, boots the daemon as a warm standby: it tails every
 	// session of the leader at this base URL into its own data dir and
 	// answers session traffic 503 until promoted (POST /v1/promote, or
@@ -449,34 +395,6 @@ type daemonConfig struct {
 	logger *slog.Logger
 }
 
-// session is one registry entry: the live coloring, its durability log
-// (nil without -data-dir), and the idle-eviction clock. A durable session
-// is not always resident: passivation drops d and log (the state lives on
-// disk) and the next touch rehydrates them.
-type session struct {
-	id string
-	// mu serializes residency transitions (passivate, rehydrate, drop); d
-	// and log are only replaced under it. Handlers that already hold a d
-	// may keep using it across a passivation — a passivated Dynamic stays
-	// readable, and writes fail with ErrSessionPassivated.
-	mu  sync.Mutex
-	d   *distec.Dynamic
-	log *persist.Log
-	// dropped marks a deleted/evicted/retired session so a racing handler
-	// cannot rehydrate it back to life from files being removed.
-	dropped bool
-	// resident mirrors d != nil, readable without mu for victim selection.
-	resident atomic.Bool
-	// last is the UnixNano of the last client touch (create, get, update);
-	// inflight counts batches currently executing, so the idle sweeper
-	// never evicts a session mid-batch just because the batch outlived the
-	// TTL, and the passivator prefers sessions with nothing running.
-	last     atomic.Int64
-	inflight atomic.Int32
-}
-
-func (sess *session) touch() { sess.last.Store(time.Now().UnixNano()) }
-
 // server is the daemon's HTTP state: the shared pool, the metrics
 // registry with the daemon's own counters on it, and the dynamic-session
 // registry.
@@ -491,12 +409,9 @@ type server struct {
 	// reg is the one registry behind both GET /metrics and /v1/stats; the
 	// counters below are registered on it, so the two surfaces read the
 	// very same atomics.
-	reg       *metrics.Registry
-	requests  *metrics.Counter
-	errors    *metrics.Counter
-	evictions *metrics.Counter
-	creates   *metrics.Counter
-	deletes   *metrics.Counter
+	reg      *metrics.Registry
+	requests *metrics.Counter
+	errors   *metrics.Counter
 	// closedRejects counts updates answered 410 Gone because the session
 	// closed mid-flight (deleted or evicted while the batch ran).
 	closedRejects *metrics.Counter
@@ -505,16 +420,6 @@ type server struct {
 	// or inserts by repair tier: greedy / repaired / augmented).
 	updateLatency *metrics.Histogram
 	updateTiers   map[string]*metrics.Counter
-	// recoveryTime observes per-session boot recovery (open + replay +
-	// verify), successes only; rehydrateTime the same pipeline when a
-	// passivated session is brought back on access.
-	recoveryTime  *metrics.Histogram
-	rehydrateTime *metrics.Histogram
-	// passivations and rehydrations count residency transitions;
-	// residentCount is the live resident-session gauge behind them.
-	passivations  *metrics.Counter
-	rehydrations  *metrics.Counter
-	residentCount atomic.Int64
 	// solveRounds/solveQuiescent/roundDuration aggregate the convergence
 	// behavior of traced solves (?trace=1): how many rounds a solve takes,
 	// how many of them were quiescent (pure simulation overhead), and how
@@ -522,11 +427,11 @@ type server struct {
 	solveRounds    *metrics.Histogram
 	solveQuiescent *metrics.Histogram
 	roundDuration  *metrics.Histogram
-	persistM       *persist.Metrics
-	// recovered and recoveryFailures count boot-time session recovery
-	// outcomes (written once before the listener opens).
-	recovered        int
-	recoveryFailures int
+	// persist configures every session log: the registry's and the
+	// follower's replicated ones.
+	persist persist.Options
+
+	sessions *sessions.Registry
 
 	mux http.Handler
 
@@ -535,12 +440,6 @@ type server struct {
 	// promotion flips it false after recovering the replicated state.
 	following atomic.Bool
 	repl      *follower
-
-	sessMu   sync.Mutex
-	sessions map[string]*session
-
-	stopSweep chan struct{}
-	closeOnce sync.Once
 
 	// afterJob, when non-nil, runs after a handler's compute phase and
 	// before its response is written — a test seam standing in for a job
@@ -561,12 +460,11 @@ func newDaemon(pool *distec.Pool, cfg daemonConfig) (*server, error) {
 	if reg == nil {
 		reg = metrics.New()
 	}
-	s := &server{pool: pool, cfg: cfg, start: time.Now(), reg: reg, sessions: make(map[string]*session), stopSweep: make(chan struct{})}
+	s := &server{pool: pool, cfg: cfg, start: time.Now(), reg: reg}
 	s.logger = cfg.logger
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
 	}
-	s.registerMetrics()
 	if cfg.follow != "" && cfg.dataDir == "" {
 		return nil, errors.New("-follow requires -data-dir (the standby needs somewhere to replicate to)")
 	}
@@ -574,8 +472,22 @@ func newDaemon(pool *distec.Pool, cfg daemonConfig) (*server, error) {
 		if err := os.MkdirAll(cfg.dataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("data dir: %w", err)
 		}
+	}
+	s.registerMetrics()
+	maxSessions, maxResident := s.registryLimits()
+	s.sessions = sessions.New(sessions.Config{
+		DataDir:     cfg.dataDir,
+		Persist:     s.persist,
+		TTL:         cfg.sessionTTL,
+		MaxSessions: maxSessions,
+		MaxResident: maxResident,
+		Pool:        pool,
+		Metrics:     reg,
+		Logger:      s.logger,
+	})
+	if cfg.dataDir != "" {
 		if cfg.follow == "" {
-			s.recoverSessions()
+			s.sessions.Recover()
 		} else {
 			// A follower's data dir is owned by the replication loop until
 			// promotion; recovery runs then, over whatever was replicated.
@@ -583,9 +495,6 @@ func newDaemon(pool *distec.Pool, cfg daemonConfig) (*server, error) {
 			s.repl = newFollower(s)
 			go s.repl.run()
 		}
-	}
-	if cfg.sessionTTL > 0 {
-		go s.sweepLoop()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -701,16 +610,13 @@ func (s *server) accessLog(next http.Handler) http.Handler {
 	})
 }
 
-// registerMetrics creates the daemon's own counters on the registry —
-// everything /v1/stats reports beyond the pool lives here, so both
-// surfaces read identical state.
+// registerMetrics creates the daemon's own counters on the registry (the
+// session registry adds its own), so /v1/stats and /metrics read
+// identical state, and builds the session logs' persistence options.
 func (s *server) registerMetrics() {
 	reg := s.reg
 	s.requests = reg.Counter("distec_http_requests_total", "API requests received.")
 	s.errors = reg.Counter("distec_http_errors_total", "API requests answered with an error status.")
-	s.creates = reg.Counter("distec_session_creates_total", "Dynamic sessions created.")
-	s.deletes = reg.Counter("distec_session_deletes_total", "Dynamic sessions deleted by clients.")
-	s.evictions = reg.Counter("distec_session_evictions_total", "Idle dynamic sessions reclaimed by the TTL sweeper.")
 	s.closedRejects = reg.Counter("distec_session_closed_rejected_total", "Update batches answered 410 Gone because the session closed mid-flight.")
 	s.updateLatency = reg.Histogram("distec_session_update_seconds", "Session update batch latency, end to end.", metrics.LatencyBuckets)
 	const tiersHelp = "Applied session updates by service tier: deletes, and inserts served greedily, by conflict-region repair, or by Vizing augmentation."
@@ -720,19 +626,12 @@ func (s *server) registerMetrics() {
 		"repaired":  reg.Counter("distec_session_updates_total", tiersHelp, "tier", "repaired"),
 		"augmented": reg.Counter("distec_session_updates_total", tiersHelp, "tier", "augmented"),
 	}
-	s.recoveryTime = reg.Histogram("distec_session_recovery_seconds", "Boot-time per-session recovery duration (open, replay, verify), successes only.", metrics.LatencyBuckets)
-	s.rehydrateTime = reg.Histogram("distec_session_rehydration_seconds", "Rehydration latency (open, replay, verify) when a passivated session is touched.", metrics.LatencyBuckets)
-	s.passivations = reg.Counter("distec_sessions_passivated_total", "Resident sessions evicted to disk by the residency limit.")
-	s.rehydrations = reg.Counter("distec_session_rehydrations_total", "Passivated sessions rehydrated from disk on access.")
-	reg.GaugeFunc("distec_sessions_resident", "Dynamic sessions resident in memory (each pins its graph and coloring).", func() float64 { return float64(s.residentCount.Load()) })
 	s.solveRounds = reg.Histogram("distec_solve_rounds", "Engine-executed rounds per traced solve (?trace=1 requests only).", roundBuckets)
 	s.solveQuiescent = reg.Histogram("distec_solve_quiescent_rounds", "Quiescent rounds (no messages sent, no entity halted) per traced solve — pure simulation overhead.", roundBuckets)
 	s.roundDuration = reg.Histogram("distec_round_duration_seconds", "Individual engine round duration, observed from traced solves.", metrics.LatencyBuckets)
-	s.persistM = &persist.Metrics{}
-	s.persistM.Register(reg)
-	reg.GaugeFunc("distec_sessions", "Live dynamic sessions.", func() float64 { return float64(s.sessionCount()) })
-	reg.CounterFunc("distec_session_recovered_total", "Sessions recovered at boot.", func() uint64 { return uint64(s.recovered) })
-	reg.CounterFunc("distec_session_recovery_failures_total", "Sessions that failed boot recovery and were skipped.", func() uint64 { return uint64(s.recoveryFailures) })
+	pm := &persist.Metrics{}
+	pm.Register(reg)
+	s.persist = persist.Options{Fsync: s.cfg.fsync, CompactBytes: s.cfg.compactBytes, DiffCompact: s.cfg.diffCompact, Metrics: pm}
 	reg.GaugeFunc("distec_uptime_seconds", "Seconds since the daemon booted.", func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("go_goroutines", "Live goroutines.", func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("distec_build_info", "Build identity: constant 1, labeled with the Go version and VCS revision.",
@@ -790,337 +689,61 @@ func buildRevision() string {
 	return "unknown"
 }
 
-// maxSessionsLimit resolves the registry bound: explicit config, else 64
-// memory-only or 4096 with a data dir (sessions beyond the residency limit
-// live on disk, not in memory).
-func (s *server) maxSessionsLimit() int {
-	if s.cfg.maxSessions > 0 {
-		return s.cfg.maxSessions
+// registryLimits resolves -max-sessions and -max-resident, 0 selecting
+// the defaults: 64 sessions memory-only or 4096 with a data dir, and 64
+// resident.
+func (s *server) registryLimits() (maxSessions, maxResident int) {
+	maxSessions, maxResident = s.cfg.maxSessions, s.cfg.maxResident
+	if maxSessions <= 0 {
+		maxSessions = defaultMaxSessions
+		if s.cfg.dataDir != "" {
+			maxSessions = defaultMaxSessionsDurable
+		}
 	}
-	if s.cfg.dataDir != "" {
-		return defaultMaxSessionsDurable
+	if maxResident <= 0 {
+		maxResident = defaultMaxResident
 	}
-	return defaultMaxSessions
+	return maxSessions, maxResident
 }
 
-// maxResidentLimit resolves the residency bound for durable sessions.
-func (s *server) maxResidentLimit() int {
-	if s.cfg.maxResident > 0 {
-		return s.cfg.maxResident
-	}
-	return defaultMaxResident
-}
-
-// close stops the eviction sweeper, the follower loop, and quiesces every
-// session (waiting out in-flight compactions, closing WAL files). Sessions
-// stay on disk for the next boot.
+// close stops the follower loop and quiesces the session registry;
+// sessions stay on disk for the next boot. Idempotent.
 func (s *server) close() {
-	s.closeOnce.Do(func() { close(s.stopSweep) })
 	if s.repl != nil {
 		s.repl.stopAndWait()
 	}
-	s.sessMu.Lock()
-	all := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		all = append(all, sess)
-	}
-	s.sessions = make(map[string]*session)
-	s.sessMu.Unlock()
-	for _, sess := range all {
-		s.quiesceSession(sess)
-	}
-}
-
-// quiesceSession closes one already-unregistered session, keeping its
-// files: in-flight batches fail with ErrSessionClosed, the WAL closes
-// cleanly, and a racing handler can no longer rehydrate it.
-func (s *server) quiesceSession(sess *session) {
-	sess.mu.Lock()
-	sess.dropped = true
-	d, lg := sess.d, sess.log
-	sess.d, sess.log = nil, nil
-	wasResident := sess.resident.Load()
-	sess.resident.Store(false)
-	sess.mu.Unlock()
-	if d != nil {
-		d.Close()
-	}
-	if lg != nil {
-		lg.Close()
-	}
-	if wasResident {
-		s.residentCount.Add(-1)
-	}
-}
-
-// persistOptions maps the daemon config onto the persistence layer's knobs.
-func (s *server) persistOptions() persist.Options {
-	return persist.Options{Fsync: s.cfg.fsync, CompactBytes: s.cfg.compactBytes, DiffCompact: s.cfg.diffCompact, Metrics: s.persistM}
-}
-
-// recoverSessions re-registers every session persisted under the data dir.
-// The first maxResident come back fully live (snapshot restored, WAL
-// replayed, coloring verified, original ID kept); the rest register
-// passivated after a cheap durability scan, so boot cost and memory stay
-// bounded however many sessions the dir holds — each rehydrates (and
-// verifies) on its first touch instead.
-func (s *server) recoverSessions() {
-	entries, err := os.ReadDir(s.cfg.dataDir)
-	if err != nil {
-		s.logger.Error("session recovery: read data dir", "err", err)
-		return
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		id := e.Name()
-		start := time.Now()
-		var sess *session
-		if int(s.residentCount.Load()) < s.maxResidentLimit() {
-			sess, err = s.recoverSession(id)
-		} else {
-			sess, err = s.adoptPassivated(id)
-		}
-		if err != nil {
-			s.logger.Error("session recovery failed", "session", id, "err", err)
-			s.recoveryFailures++
-			continue
-		}
-		s.recoveryTime.Observe(time.Since(start).Seconds())
-		s.logger.Info("session recovered", "session", id, "resident", sess.resident.Load(),
-			"duration_ms", float64(time.Since(start).Microseconds())/1000)
-		s.sessMu.Lock()
-		s.sessions[id] = sess
-		s.sessMu.Unlock()
-		s.recovered++
-	}
-}
-
-// adoptPassivated registers a persisted session without loading it: the
-// directory is scanned (checksums, torn tails, sequence chain — everything
-// but the coloring replay), and the session rehydrates on first touch.
-func (s *server) adoptPassivated(id string) (*session, error) {
-	if _, _, _, err := persist.ScanDir(filepath.Join(s.cfg.dataDir, id)); err != nil {
-		return nil, err
-	}
-	sess := &session{id: id}
-	sess.touch()
-	return sess, nil
-}
-
-// restoreSession rebuilds a session's Dynamic from its directory — the one
-// restore path boot recovery and rehydration share. It opens the log
-// (which repairs a torn WAL tail and finishes an interrupted compaction),
-// restores the merged snapshot, replays the surviving records in order
-// under ctx, verifies the result, and installs the journal. On any failure
-// the log is closed and the files are left untouched.
-func (s *server) restoreSession(ctx context.Context, id string) (*distec.Dynamic, *persist.Log, error) {
-	lg, snap, records, err := persist.OpenLog(filepath.Join(s.cfg.dataDir, id), s.persistOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			lg.Close()
-		}
-	}()
-	// OpenLog's snapshot already has the diff chain merged in — the file
-	// on disk alone may be stale, so the parsed value is the truth.
-	d, err := distec.NewDynamicFromState(snap, distec.DynamicOptions{Pool: s.pool})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := distec.ReplayRecords(ctx, d, records); err != nil {
-		return nil, nil, err
-	}
-	// Never serve a coloring that does not independently verify.
-	if err := d.Verify(); err != nil {
-		return nil, nil, fmt.Errorf("restored coloring invalid: %v", err)
-	}
-	d.SetJournal(s.journalFunc(lg))
-	ok = true
-	return d, lg, nil
-}
-
-// recoverSession restores one session at boot and compacts a WAL that has
-// outgrown the threshold. Any failure abandons the recovery with the files
-// untouched.
-func (s *server) recoverSession(id string) (*session, error) {
-	// Boot recovery runs before the listener accepts anything: there is no
-	// request whose deadline could bound this replay, and aborting half-way
-	// would just re-run the same work on the next start.
-	//distec:nolint ctxflow
-	d, lg, err := s.restoreSession(context.Background(), id)
-	if err != nil {
-		return nil, err
-	}
-	// A WAL already past the threshold is compacted now (synchronously:
-	// boot is the cheap moment), so recovery cost stays bounded next time.
-	// A compaction failure poisons the log — registering the session anyway
-	// would 500 every update with no trace of why — so surface it as a
-	// recovery failure and leave the files for the operator (sessionctl).
-	if lg.NeedsCompaction() {
-		var buf bytes.Buffer
-		if err := d.Snapshot(&buf); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("boot compaction snapshot: %w", err)
-		}
-		if err := lg.Compact(buf.Bytes()); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("boot compaction: %w", err)
-		}
-	}
-	sess := &session{id: id, d: d, log: lg}
-	sess.resident.Store(true)
-	s.residentCount.Add(1)
-	sess.touch()
-	return sess, nil
-}
-
-// journalFunc builds the session's durability hook: append the applied
-// batch to the WAL and, once the WAL outgrows the threshold, capture a
-// point-in-time snapshot (in memory, under the session lock) and hand the
-// disk work to a background compaction.
-func (s *server) journalFunc(lg *persist.Log) distec.JournalFunc {
-	// The hook captures its own *Log, not the session: rehydration builds a
-	// fresh Dynamic with a fresh hook over a fresh log, so a stale hook can
-	// never append to a log that was swapped out from under it.
-	// scratch is safe to recycle across batches: the journal runs under the
-	// session lock and Append encodes the record before returning.
-	var scratch []persist.Update
-	return func(b distec.JournalBatch) error {
-		if cap(scratch) < len(b.Applied) {
-			scratch = make([]persist.Update, len(b.Applied))
-		}
-		rec := persist.Record{Seq: b.Seq, Updates: scratch[:len(b.Applied)]}
-		for i, up := range b.Applied {
-			op := persist.OpInsert
-			if up.Op == distec.DeleteEdge {
-				op = persist.OpDelete
-			}
-			rec.Updates[i] = persist.Update{Op: op, U: int32(up.U), V: int32(up.V)}
-		}
-		if err := lg.Append(rec); err != nil {
-			return err
-		}
-		if lg.NeedsCompaction() {
-			var buf bytes.Buffer
-			if err := b.Snapshot(&buf); err != nil {
-				return fmt.Errorf("compaction snapshot: %w", err)
-			}
-			return lg.CompactAsync(buf.Bytes())
-		}
-		return nil
-	}
-}
-
-// sweepLoop periodically evicts idle sessions; see sweepIdle.
-func (s *server) sweepLoop() {
-	interval := s.cfg.sessionTTL / 4
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopSweep:
-			return
-		case <-t.C:
-			s.sweepIdle()
-		}
-	}
-}
-
-// sweepIdle evicts every session idle longer than the TTL — the fix for
-// abandoned sessions occupying the registry cap forever: an evicted session
-// is closed (in-flight batches fail with ErrSessionClosed rather than
-// mutating a dropped session) and its files are removed, exactly like an
-// explicit DELETE. It returns the number evicted; handleSessionCreate calls
-// it opportunistically when the registry is full, so one sweep-interval of
-// latency never turns into a 503.
-func (s *server) sweepIdle() int {
-	ttl := s.cfg.sessionTTL
-	if ttl <= 0 {
-		return 0
-	}
-	cutoff := time.Now().Add(-ttl).UnixNano()
-	var evicted []*session
-	s.sessMu.Lock()
-	for id, sess := range s.sessions {
-		// A session with a batch executing is busy, not abandoned, however
-		// long the batch runs; its clock is touched again on completion.
-		if sess.last.Load() < cutoff && sess.inflight.Load() == 0 {
-			delete(s.sessions, id)
-			evicted = append(evicted, sess)
-		}
-	}
-	s.sessMu.Unlock()
-	for _, sess := range evicted {
-		s.dropSession(sess)
-		s.evictions.Add(1)
-	}
-	return len(evicted)
-}
-
-// dropSession tears one already-unregistered session down: close it (late
-// and in-flight batches fail with ErrSessionClosed) and remove its files.
-// Works on passivated sessions too — there is nothing in memory to close,
-// but the files still go.
-func (s *server) dropSession(sess *session) {
-	s.quiesceSession(sess)
-	if s.cfg.dataDir != "" {
-		os.RemoveAll(filepath.Join(s.cfg.dataDir, sess.id))
-	}
-}
-
-// retireSession unregisters and closes a session whose journal failed,
-// keeping its files: the durable state (every journaled batch) is intact
-// and recoverable on the next boot; only the unjournaled in-memory tail is
-// abandoned, exactly as the failed request reported.
-func (s *server) retireSession(id string, sess *session) {
-	s.sessMu.Lock()
-	delete(s.sessions, id)
-	s.sessMu.Unlock()
-	s.quiesceSession(sess)
+	s.sessions.Close()
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
+	c, sc := s.counterSnapshot()
 	s.respond(w, http.StatusOK, statsResponse{
 		PoolStats:         s.pool.Stats(),
 		UptimeSeconds:     time.Since(s.start).Seconds(),
 		GoVersion:         runtime.Version(),
 		BuildRevision:     buildRevision(),
-		daemonCounters:    s.counterSnapshot(),
-		Sessions:          s.sessionCount(),
-		SessionsResident:  int(s.residentCount.Load()),
-		SessionsRecovered: s.recovered,
-		RecoveryFailures:  s.recoveryFailures,
+		daemonCounters:    c,
+		Sessions:          sc.Sessions,
+		SessionsResident:  sc.Resident,
+		SessionsRecovered: sc.Recovered,
+		RecoveryFailures:  sc.RecoveryFailures,
 	})
 }
 
-// counterSnapshot reads every daemon counter into one struct, in one
-// place. The counters are independent atomics, so the reads are ordered
-// to preserve the block's invariants: each *consuming* counter is read
-// before the *producing* counter it is bounded by (deletes, evictions,
-// and closed-rejects before creates; errors before requests). A create
-// or request landing between the reads then inflates only the producing
-// side — a scrape can never report more evictions than creates, or more
-// errors than requests, however loaded the daemon is.
-func (s *server) counterSnapshot() daemonCounters {
+// counterSnapshot reads every daemon counter, and the session registry's,
+// in one place. The counters are independent atomics, so each *consuming*
+// counter is read before the *producing* counter it is bounded by
+// (closed-rejects, then the registry's deletes and evictions, before its
+// creates; errors before requests): a scrape can never report more
+// evictions than creates, or more errors than requests.
+func (s *server) counterSnapshot() (daemonCounters, sessions.Counts) {
 	var c daemonCounters
-	c.SessionDeletes = s.deletes.Load()
-	c.SessionEvictions = s.evictions.Load()
 	c.SessionClosedRejects = s.closedRejects.Load()
-	c.SessionCreates = s.creates.Load()
+	sc := s.sessions.Counts()
+	c.SessionDeletes, c.SessionEvictions, c.SessionCreates = sc.Deletes, sc.Evictions, sc.Creates
 	c.HTTPErrors = s.errors.Load()
 	c.HTTPRequests = s.requests.Load()
-	return c
+	return c, sc
 }
 
 // handleMetrics renders the registry in the Prometheus text exposition
@@ -1129,12 +752,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
-}
-
-func (s *server) sessionCount() int {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	return len(s.sessions)
 }
 
 func (s *server) handleColor(w http.ResponseWriter, r *http.Request) {
@@ -1240,15 +857,9 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowing(w) {
 		return
 	}
-	maxSessions := s.maxSessionsLimit()
-	if s.sessionCount() >= maxSessions {
-		// A full registry gets one opportunistic idle sweep before the 503:
-		// abandoned sessions must never brick session creation for the TTL
-		// sweeper's next tick.
-		if s.sweepIdle() == 0 {
-			s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("session limit %d reached", maxSessions))
-			return
-		}
+	if s.sessions.Full() {
+		s.fail(w, http.StatusServiceUnavailable, sessions.ErrFull)
+		return
 	}
 	var req sessionRequest
 	if !s.decodeBody(w, r, &req) {
@@ -1290,42 +901,16 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	id, err := newSessionID()
+	id, err := s.sessions.Add(d)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	sess := &session{id: id, d: d}
-	if s.cfg.dataDir != "" {
-		// The session is durable from birth: its initial snapshot is on
-		// disk before the client learns the ID, so a crash at any later
-		// point recovers it.
-		lg, err := persist.CreateLog(filepath.Join(s.cfg.dataDir, id), d.Snapshot, s.persistOptions())
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, fmt.Errorf("persist session: %w", err))
-			return
+		status := http.StatusInternalServerError
+		if errors.Is(err, sessions.ErrFull) {
+			// Concurrent creates raced past the early bound.
+			status = http.StatusServiceUnavailable
 		}
-		sess.log = lg
-		d.SetJournal(s.journalFunc(lg))
-	}
-	sess.resident.Store(true)
-	s.residentCount.Add(1)
-	sess.touch()
-	s.sessMu.Lock()
-	// Re-check under the lock: concurrent creates may have raced past the
-	// early bound.
-	if len(s.sessions) >= maxSessions {
-		s.sessMu.Unlock()
-		s.dropSession(sess)
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("session limit %d reached", maxSessions))
+		s.fail(w, status, err)
 		return
 	}
-	s.sessions[id] = sess
-	s.sessMu.Unlock()
-	s.creates.Inc()
-	// The newcomer may push the resident set past the limit: passivate the
-	// coldest sessions (never the one just created).
-	s.enforceResidency(sess)
 	s.respond(w, http.StatusOK, sessionResponse{
 		SessionID:  id,
 		Colors:     d.Colors(),
@@ -1344,7 +929,7 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowing(w) {
 		return
 	}
-	sess, ok := s.session(r.PathValue("id"))
+	sess, ok := s.sessions.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, errors.New("no such session"))
 		return
@@ -1352,9 +937,9 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.beforeUpdate != nil {
 		s.beforeUpdate()
 	}
-	d, err := s.acquire(r.Context(), sess)
+	d, err := s.sessions.Acquire(r.Context(), sess)
 	if err != nil {
-		s.failAcquire(w, err)
+		s.failSession(w, err)
 		return
 	}
 	var req updateRequest
@@ -1384,27 +969,8 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		ctx = trace.NewContext(ctx, tr)
 	}
 
-	sess.touch()
-	sess.inflight.Add(1)
 	start := time.Now()
-	results, err := d.ApplyBatch(ctx, req.Updates)
-	if errors.Is(err, distec.ErrSessionPassivated) {
-		// The residency limit passivated the session between lookup and
-		// batch. The interrupted attempt journaled nothing and its memory
-		// state was discarded with the Dynamic, so rehydrating and replaying
-		// the whole batch applies it exactly once.
-		d2, aerr := s.acquire(ctx, sess)
-		if aerr != nil {
-			sess.inflight.Add(-1)
-			sess.touch()
-			s.failAcquire(w, aerr)
-			return
-		}
-		d = d2
-		results, err = d.ApplyBatch(ctx, req.Updates)
-	}
-	sess.inflight.Add(-1)
-	sess.touch()
+	d, results, err := s.sessions.Apply(ctx, sess, d, req.Updates)
 	s.updateLatency.Observe(time.Since(start).Seconds())
 	s.countTiers(results)
 	if s.afterJob != nil {
@@ -1413,33 +979,7 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The applied prefix holds (the coloring reflects exactly it); tell
 		// the client how far the batch got.
-		err = fmt.Errorf("applied %d/%d updates: %w", len(results), len(req.Updates), err)
-		switch {
-		case errors.Is(err, distec.ErrSessionClosed):
-			// The session was deleted or evicted while this batch was in
-			// flight: it is gone, not malformed.
-			s.closedRejects.Inc()
-			s.fail(w, http.StatusGone, err)
-		case errors.Is(err, distec.ErrJournal):
-			// Applied in memory but not journaled: the session's memory
-			// state has diverged from its durable state, and any further
-			// acknowledged batch would journal with a sequence gap that
-			// makes the whole log unrecoverable. Stop serving the session —
-			// its files stay, so a restart recovers every batch that WAS
-			// made durable.
-			s.retireSession(r.PathValue("id"), sess)
-			s.fail(w, http.StatusInternalServerError,
-				fmt.Errorf("%w; session retired — restart the daemon to recover its last durable state", err))
-		case errors.Is(err, distec.ErrSessionPassivated):
-			// Passivated again between the retry's rehydrate and batch —
-			// possible only under pathological residency pressure. The batch
-			// is not applied; the client retries.
-			s.fail(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, distec.ErrPaletteExhausted):
-			s.fail(w, http.StatusConflict, err)
-		default:
-			s.failJob(w, err)
-		}
+		s.failSession(w, fmt.Errorf("applied %d/%d updates: %w", len(results), len(req.Updates), err))
 		return
 	}
 	// Never report an unverified maintained coloring: the incremental
@@ -1468,15 +1008,14 @@ func (s *server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowing(w) {
 		return
 	}
-	sess, ok := s.session(r.PathValue("id"))
+	sess, ok := s.sessions.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, errors.New("no such session"))
 		return
 	}
-	sess.touch()
-	d, err := s.acquire(r.Context(), sess)
+	d, err := s.sessions.Acquire(r.Context(), sess)
 	if err != nil {
-		s.failAcquire(w, err)
+		s.failSession(w, err)
 		return
 	}
 	if err := d.Verify(); err != nil {
@@ -1501,17 +1040,10 @@ func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowing(w) {
 		return
 	}
-	id := r.PathValue("id")
-	s.sessMu.Lock()
-	sess, ok := s.sessions[id]
-	delete(s.sessions, id)
-	s.sessMu.Unlock()
-	if !ok {
+	if !s.sessions.Delete(r.PathValue("id")) {
 		s.fail(w, http.StatusNotFound, errors.New("no such session"))
 		return
 	}
-	s.dropSession(sess)
-	s.deletes.Inc()
 	s.respond(w, http.StatusOK, map[string]bool{"deleted": true})
 }
 
@@ -1550,13 +1082,6 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, req any) boo
 	return true
 }
 
-func (s *server) session(id string) (*session, bool) {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	sess, ok := s.sessions[id]
-	return sess, ok
-}
-
 // failJob maps job errors to HTTP statuses, shared by the color and session
 // handlers.
 func (s *server) failJob(w http.ResponseWriter, err error) {
@@ -1574,6 +1099,32 @@ func (s *server) failJob(w http.ResponseWriter, err error) {
 	}
 }
 
+// failSession maps a session lookup or batch error to its status: a
+// session deleted, evicted or retired mid-request is gone (410), a failed
+// rehydration is a server-side recovery problem (500, files kept for
+// sessionctl), and batch errors are classified like jobs.
+func (s *server) failSession(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, distec.ErrSessionClosed):
+		s.closedRejects.Inc()
+		s.fail(w, http.StatusGone, err)
+	case errors.Is(err, sessions.ErrRehydrate):
+		s.fail(w, http.StatusInternalServerError, err)
+	case errors.Is(err, distec.ErrJournal):
+		// The registry retired the session; its durable state is intact.
+		s.fail(w, http.StatusInternalServerError,
+			fmt.Errorf("%w; session retired — restart the daemon to recover its last durable state", err))
+	case errors.Is(err, distec.ErrSessionPassivated):
+		// Passivated again between the retry's rehydrate and batch (only
+		// under pathological residency pressure): not applied, retry.
+		s.fail(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, distec.ErrPaletteExhausted):
+		s.fail(w, http.StatusConflict, err)
+	default:
+		s.failJob(w, err)
+	}
+}
+
 // jobTimeout resolves a client timeout_ms to the job deadline, clamped to
 // the server ceiling.
 func jobTimeout(ms int) time.Duration {
@@ -1585,15 +1136,6 @@ func jobTimeout(ms int) time.Duration {
 		}
 	}
 	return timeout
-}
-
-// newSessionID returns an unguessable session handle.
-func newSessionID() (string, error) {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("session id: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
 }
 
 func (s *server) fail(w http.ResponseWriter, status int, err error) {
@@ -1654,143 +1196,4 @@ func buildGraph(spec graphSpec) (*distec.Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// --- drive mode ---
-
-// driveClass is one request class of the drive mix.
-type driveClass struct {
-	name   string
-	weight int
-	body   []byte
-}
-
-// parseMix parses "small=6,medium=3,large=1" into request classes with
-// pre-encoded bodies. Classes with weight 0 are dropped; unknown class
-// names are an error.
-func parseMix(mix string) ([]driveClass, error) {
-	graphs := map[string]graphSpec{
-		"small":  graphToSpec(distec.RandomRegular(100, 6, 11)),  // 300 edges
-		"medium": graphToSpec(distec.RandomRegular(1000, 8, 12)), // 4000 edges
-		"large":  graphToSpec(distec.Cycle(20000)),               // 20k edges
-	}
-	algs := map[string]string{"small": "bko", "medium": "pr01", "large": "randomized"}
-	var classes []driveClass
-	for _, part := range strings.Split(mix, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad mix entry %q (want name=weight)", part)
-		}
-		weight, err := strconv.Atoi(val)
-		if err != nil || weight < 0 {
-			return nil, fmt.Errorf("bad mix weight %q", part)
-		}
-		spec, ok := graphs[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown mix class %q (have small, medium, large)", name)
-		}
-		if weight == 0 {
-			continue
-		}
-		body, err := json.Marshal(colorRequest{Graph: spec, Algorithm: algs[name], Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		classes = append(classes, driveClass{name: name, weight: weight, body: body})
-	}
-	if len(classes) == 0 {
-		return nil, errors.New("empty mix")
-	}
-	return classes, nil
-}
-
-func graphToSpec(g *distec.Graph) graphSpec {
-	spec := graphSpec{N: g.N(), Edges: make([][2]int, 0, g.M())}
-	for e := 0; e < g.M(); e++ {
-		u, v := g.Endpoints(distec.EdgeID(e))
-		spec.Edges = append(spec.Edges, [2]int{u, v})
-	}
-	return spec
-}
-
-// driveSummary is what a drive run reports.
-type driveSummary struct {
-	Requests int
-	Errors   int
-	Wall     time.Duration
-	P50, P99 time.Duration
-}
-
-// driveLoad replays the weighted mix against base at the given rate for the
-// given duration and prints a summary plus the daemon's own stats.
-func driveLoad(base string, rate float64, duration time.Duration, classes []driveClass, out io.Writer) (driveSummary, error) {
-	if rate <= 0 || math.IsInf(rate, 0) || math.IsNaN(rate) || rate > 1e6 {
-		return driveSummary{}, fmt.Errorf("rate must be in (0, 1e6], got %v", rate)
-	}
-	client := &http.Client{Timeout: 2 * time.Minute}
-	resp, err := client.Get(base + "/healthz")
-	if err != nil {
-		return driveSummary{}, fmt.Errorf("daemon not reachable: %w", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		errCount  int
-		wg        sync.WaitGroup
-	)
-	// Weighted round-robin over an expanded schedule keeps the mix exact.
-	var schedule []int
-	for ci, c := range classes {
-		for i := 0; i < c.weight; i++ {
-			schedule = append(schedule, ci)
-		}
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.Now().Add(duration)
-	start := time.Now()
-	for i := 0; time.Now().Before(deadline); i++ {
-		<-ticker.C
-		c := classes[schedule[i%len(schedule)]]
-		wg.Add(1)
-		go func(c driveClass) {
-			defer wg.Done()
-			t0 := time.Now()
-			resp, err := client.Post(base+"/v1/color", "application/json", bytes.NewReader(c.body))
-			lat := time.Since(t0)
-			ok := err == nil && resp.StatusCode == http.StatusOK
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			mu.Lock()
-			if ok {
-				latencies = append(latencies, lat)
-			} else {
-				errCount++
-			}
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	sum := driveSummary{Requests: len(latencies) + errCount, Errors: errCount, Wall: time.Since(start)}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		sum.P50 = latencies[len(latencies)/2]
-		sum.P99 = latencies[len(latencies)*99/100]
-	}
-	fmt.Fprintf(out, "drive: %d requests in %v (%.1f req/s), %d errors, latency p50=%v p99=%v\n",
-		sum.Requests, sum.Wall.Round(time.Millisecond),
-		float64(sum.Requests)/sum.Wall.Seconds(), sum.Errors, sum.P50, sum.P99)
-	if resp, err := client.Get(base + "/v1/stats"); err == nil {
-		defer resp.Body.Close()
-		var stats json.RawMessage
-		if json.NewDecoder(resp.Body).Decode(&stats) == nil {
-			fmt.Fprintf(out, "daemon stats: %s\n", stats)
-		}
-	}
-	return sum, nil
 }

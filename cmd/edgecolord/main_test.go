@@ -3,9 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +12,16 @@ import (
 
 	"github.com/distec/distec"
 )
+
+// graphToSpec renders g as the daemon's edge-list request body.
+func graphToSpec(g *distec.Graph) graphSpec {
+	spec := graphSpec{N: g.N(), Edges: make([][2]int, 0, g.M())}
+	for e := 0; e < g.M(); e++ {
+		u, v := g.Endpoints(distec.EdgeID(e))
+		spec.Edges = append(spec.Edges, [2]int{u, v})
+	}
+	return spec
+}
 
 func newTestServer(t *testing.T) (*httptest.Server, *distec.Pool) {
 	ts, _, pool := newTestServerCfg(t, daemonConfig{})
@@ -421,31 +429,6 @@ func TestSessionRequestLimits(t *testing.T) {
 	}
 }
 
-// TestSessionLimit pins the registry bound.
-func TestSessionLimit(t *testing.T) {
-	ts, d, _ := newTestServerCfg(t, daemonConfig{})
-	// Fill the registry directly (creating maxSessions real colorings is
-	// needless work); the daemon must refuse the next create. Entries are
-	// fresh, so no TTL sweep can reclaim them.
-	d.sessMu.Lock()
-	for i := 0; i < d.maxSessionsLimit(); i++ {
-		id := string(rune('a'+i%26)) + string(rune('0'+i/26))
-		sess := &session{id: id}
-		sess.touch()
-		d.sessions[id] = sess
-	}
-	d.sessMu.Unlock()
-	resp, body := postJSON(t, ts.URL+"/v1/session", sessionRequest{Graph: graphToSpec(distec.Cycle(4))})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
-	}
-	// Empty the fake registry so the shared cleanup does not close nil
-	// sessions.
-	d.sessMu.Lock()
-	d.sessions = make(map[string]*session)
-	d.sessMu.Unlock()
-}
-
 // TestWriteDeadlineExtension is the regression test for the write-timeout
 // bug: a job that consumes more than the server's WriteTimeout used to
 // compute a result the connection could no longer write. The handler now
@@ -475,58 +458,6 @@ func TestWriteDeadlineExtension(t *testing.T) {
 	}
 	if !cr.Verified {
 		t.Fatal("response not verified")
-	}
-}
-
-func TestParseMix(t *testing.T) {
-	classes, err := parseMix("small=2,large=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(classes) != 2 || classes[0].name != "small" || classes[0].weight != 2 {
-		t.Fatalf("classes: %+v", classes)
-	}
-	for _, bad := range []string{"", "small", "small=x", "small=-1", "warp=1", "small=0"} {
-		if _, err := parseMix(bad); err == nil {
-			t.Fatalf("accepted mix %q", bad)
-		}
-	}
-}
-
-func TestDriveLoadRejectsBadRate(t *testing.T) {
-	classes, err := parseMix("small=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rate := range []float64{0, -1, 2e9, math.Inf(1), math.NaN()} {
-		if _, err := driveLoad("http://127.0.0.1:1/", rate, time.Millisecond, classes, io.Discard); err == nil {
-			t.Fatalf("accepted rate %v", rate)
-		}
-	}
-}
-
-func TestDriveLoad(t *testing.T) {
-	ts, _ := newTestServer(t)
-	classes, err := parseMix("small=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	sum, err := driveLoad(ts.URL, 50, 300*time.Millisecond, classes, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Requests == 0 {
-		t.Fatal("no requests driven")
-	}
-	if sum.Errors != 0 {
-		t.Fatalf("%d drive errors: %s", sum.Errors, out.String())
-	}
-	if !strings.Contains(out.String(), "daemon stats") {
-		t.Fatalf("summary missing daemon stats: %s", out.String())
-	}
-	if _, err := driveLoad("http://127.0.0.1:1/", 10, time.Millisecond, classes, &out); err == nil {
-		t.Fatal("drove an unreachable daemon")
 	}
 }
 
@@ -578,50 +509,6 @@ func TestSessionIdleEviction(t *testing.T) {
 	if stats.Sessions != 0 {
 		t.Fatalf("%d sessions left after eviction", stats.Sessions)
 	}
-}
-
-// TestSessionCreateSweepsWhenFull pins the deterministic half of the fix: a
-// full registry holding an expired session must evict it inline and admit
-// the new create, not 503 until the sweeper's next tick.
-func TestSessionCreateSweepsWhenFull(t *testing.T) {
-	ts, d, _ := newTestServerCfg(t, daemonConfig{sessionTTL: time.Hour})
-	resp, body := postJSON(t, ts.URL+"/v1/session", sessionRequest{Graph: graphToSpec(distec.Cycle(8))})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("create: status %d: %s", resp.StatusCode, body)
-	}
-	var sr sessionResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	// Backdate the session past the TTL and fill the rest of the registry
-	// with fresh entries: the cap is reached, but one slot is reclaimable.
-	d.sessMu.Lock()
-	d.sessions[sr.SessionID].last.Store(time.Now().Add(-2 * time.Hour).UnixNano())
-	for i := 0; len(d.sessions) < d.maxSessionsLimit(); i++ {
-		id := fmt.Sprintf("filler%d", i)
-		sess := &session{id: id}
-		sess.touch()
-		d.sessions[id] = sess
-	}
-	d.sessMu.Unlock()
-	resp, body = postJSON(t, ts.URL+"/v1/session", sessionRequest{Graph: graphToSpec(distec.Cycle(6))})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("create at full registry with an expired slot: status %d: %s", resp.StatusCode, body)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/session/"+sr.SessionID+"/update", updateRequest{
-		Updates: []distec.Update{{Op: distec.InsertEdge, U: 0, V: 2}},
-	})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("evicted session answered update with %d", resp.StatusCode)
-	}
-	// Drop the filler entries so cleanup doesn't close nil sessions.
-	d.sessMu.Lock()
-	for id, sess := range d.sessions {
-		if sess.d == nil {
-			delete(d.sessions, id)
-		}
-	}
-	d.sessMu.Unlock()
 }
 
 // TestSessionDeleteUpdateRace is the regression test for the delete/update

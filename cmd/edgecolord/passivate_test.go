@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/distec/distec"
@@ -34,8 +37,8 @@ func TestRehydrationFailureSurfaces(t *testing.T) {
 		}
 		ids = append(ids, sr.SessionID)
 	}
-	if d.residentCount.Load() != 1 {
-		t.Fatalf("%d resident, want 1", d.residentCount.Load())
+	if d.sessions.Counts().Resident != 1 {
+		t.Fatalf("%d resident, want 1", d.sessions.Counts().Resident)
 	}
 	// ids[0] is passivated; flip one byte inside its snapshot body.
 	snapPath := filepath.Join(dataDir, ids[0], persist.SnapshotFile)
@@ -83,8 +86,8 @@ func TestRehydrationRejectsEmptyRecord(t *testing.T) {
 		}
 		ids = append(ids, sr.SessionID)
 	}
-	if d.residentCount.Load() != 1 {
-		t.Fatalf("%d resident, want 1", d.residentCount.Load())
+	if d.sessions.Counts().Resident != 1 {
+		t.Fatalf("%d resident, want 1", d.sessions.Counts().Resident)
 	}
 	// ids[0] is passivated and its log closed: journal the empty record.
 	dir := filepath.Join(dataDir, ids[0])
@@ -122,11 +125,8 @@ func TestThousandSessionsBoundedResidency(t *testing.T) {
 	const nSessions = 1000
 	dataDir := t.TempDir()
 	ts, d, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir})
-	if got := d.maxResidentLimit(); got != 64 {
-		t.Fatalf("default max-resident = %d, want 64", got)
-	}
-	if got := d.maxSessionsLimit(); got != 4096 {
-		t.Fatalf("default max-sessions with a data dir = %d, want 4096", got)
+	if maxSessions, maxResident := d.registryLimits(); maxSessions != 4096 || maxResident != 64 {
+		t.Fatalf("default limits with a data dir: %d sessions, %d resident; want 4096, 64", maxSessions, maxResident)
 	}
 
 	ids := make([]string, 0, nSessions)
@@ -142,19 +142,19 @@ func TestThousandSessionsBoundedResidency(t *testing.T) {
 		ids = append(ids, sr.SessionID)
 		// The bound holds throughout the fill, not just at the end.
 		if i%100 == 99 {
-			if r := d.residentCount.Load(); r > 64 {
+			if r := d.sessions.Counts().Resident; r > 64 {
 				t.Fatalf("after %d creates: %d resident, want <= 64", i+1, r)
 			}
 		}
 	}
-	if got := d.sessionCount(); got != nSessions {
+	if got := d.sessions.Counts().Sessions; got != nSessions {
 		t.Fatalf("registry holds %d sessions, want %d", got, nSessions)
 	}
-	if r := d.residentCount.Load(); r > 64 {
+	if r := d.sessions.Counts().Resident; r > 64 {
 		t.Fatalf("%d resident after fill, want <= 64", r)
 	}
-	if p := d.passivations.Load(); p < nSessions-64 {
-		t.Fatalf("passivations = %d, want >= %d", p, nSessions-64)
+	if p := metricValue(t, d, "distec_sessions_passivated_total"); p < nSessions-64 {
+		t.Fatalf("passivations = %v, want >= %d", p, nSessions-64)
 	}
 
 	// The stats surface reports the same shape.
@@ -180,7 +180,7 @@ func TestThousandSessionsBoundedResidency(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update passivated session: status %d: %s", resp.StatusCode, body)
 	}
-	if d.rehydrations.Load() == 0 {
+	if metricValue(t, d, "distec_session_rehydrations_total") == 0 {
 		t.Fatal("update of a passivated session did not count a rehydration")
 	}
 	r, err = http.Get(ts.URL + "/v1/session/" + ids[0])
@@ -196,7 +196,7 @@ func TestThousandSessionsBoundedResidency(t *testing.T) {
 	if sr.Seq != 1 || !sr.Verified {
 		t.Fatalf("rehydrated session: seq=%d verified=%v, want 1/true", sr.Seq, sr.Verified)
 	}
-	if rc := d.residentCount.Load(); rc > 64 {
+	if rc := d.sessions.Counts().Resident; rc > 64 {
 		t.Fatalf("%d resident after rehydration, want <= 64", rc)
 	}
 
@@ -206,10 +206,10 @@ func TestThousandSessionsBoundedResidency(t *testing.T) {
 	d.close()
 	ts2, d2, crash2 := startDiskDaemon(t, dataDir)
 	defer crash2()
-	if got := d2.sessionCount(); got != nSessions {
+	if got := d2.sessions.Counts().Sessions; got != nSessions {
 		t.Fatalf("recovered registry holds %d sessions, want %d", got, nSessions)
 	}
-	if rc := d2.residentCount.Load(); rc > 64 {
+	if rc := d2.sessions.Counts().Resident; rc > 64 {
 		t.Fatalf("%d resident after recovery, want <= 64", rc)
 	}
 	r, err = http.Get(ts2.URL + "/v1/session/" + ids[nSessions-1])
@@ -274,14 +274,15 @@ func TestPassivatedSessionTransparentAccess(t *testing.T) {
 			if !ur.Verified {
 				t.Fatalf("round %d session %d: unverified coloring after rehydrated batch", round, i)
 			}
-			if rc := d.residentCount.Load(); rc > 2 {
+			if rc := d.sessions.Counts().Resident; rc > 2 {
 				t.Fatalf("round %d session %d: %d resident, want <= 2", round, i, rc)
 			}
 		}
 	}
-	if d.rehydrations.Load() == 0 || d.passivations.Load() == 0 {
-		t.Fatalf("rehydrations=%d passivations=%d, want both > 0",
-			d.rehydrations.Load(), d.passivations.Load())
+	rehydrations := metricValue(t, d, "distec_session_rehydrations_total")
+	passivations := metricValue(t, d, "distec_sessions_passivated_total")
+	if rehydrations == 0 || passivations == 0 {
+		t.Fatalf("rehydrations=%v passivations=%v, want both > 0", rehydrations, passivations)
 	}
 	// Sequence numbers survived the churn: each session saw exactly 3
 	// batches.
@@ -320,8 +321,8 @@ func TestPassivatedSessionDelete(t *testing.T) {
 		}
 		ids = append(ids, sr.SessionID)
 	}
-	if d.residentCount.Load() != 1 {
-		t.Fatalf("%d resident, want 1", d.residentCount.Load())
+	if d.sessions.Counts().Resident != 1 {
+		t.Fatalf("%d resident, want 1", d.sessions.Counts().Resident)
 	}
 	// ids[0] is the passivated one (LRU). Delete it cold.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/session/"+ids[0], nil)
@@ -355,10 +356,10 @@ func TestPassivatedSessionDelete(t *testing.T) {
 	}
 }
 
-// TestRehydrationHonorsCallerContext pins the context threading through
-// acquire → rehydrateLocked → ReplayRecords: a caller that has already
-// given up must not pay for (or pin the session lock through) a full
-// replay, while a live caller still rehydrates transparently.
+// TestRehydrationHonorsCallerContext pins the context threading from a
+// request into rehydration: a caller that has already given up must not
+// pay for (or pin the session lock through) a full replay, while a live
+// caller still rehydrates transparently.
 func TestRehydrationHonorsCallerContext(t *testing.T) {
 	dataDir := t.TempDir()
 	ts, srv, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir, maxResident: 1})
@@ -382,27 +383,48 @@ func TestRehydrationHonorsCallerContext(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("create second: status %d: %s", resp.StatusCode, body)
 	}
-	sess, ok := srv.session(sr.SessionID)
+	sess, ok := srv.sessions.Get(sr.SessionID)
 	if !ok {
 		t.Fatalf("session %s gone from registry", sr.SessionID)
 	}
-	if sess.resident.Load() {
+	if metricValue(t, srv, "distec_sessions_passivated_total") != 1 {
 		t.Fatal("first session still resident; passivation did not trigger")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.acquire(ctx, sess); !errors.Is(err, context.Canceled) {
+	if _, err := srv.sessions.Acquire(ctx, sess); !errors.Is(err, context.Canceled) {
 		t.Fatalf("acquire with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if sess.resident.Load() {
-		t.Fatal("aborted rehydration left the session marked resident")
+	if got := srv.sessions.Counts().Resident; got != 1 {
+		t.Fatalf("aborted rehydration left %d sessions resident, want 1", got)
 	}
 	// A live caller rehydrates through the same path.
-	d, err := srv.acquire(context.Background(), sess)
+	d, err := srv.sessions.Acquire(context.Background(), sess)
 	if err != nil {
 		t.Fatalf("acquire after aborted rehydration: %v", err)
 	}
 	if err := d.Verify(); err != nil {
 		t.Fatalf("rehydrated coloring invalid: %v", err)
 	}
+}
+
+// metricValue reads one unlabeled sample from the daemon's metrics
+// registry, as /metrics renders it.
+func metricValue(t *testing.T, d *server, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metric %s not exposed", name)
+	return 0
 }

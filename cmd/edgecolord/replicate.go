@@ -17,6 +17,7 @@ import (
 
 	"github.com/distec/distec/internal/metrics"
 	"github.com/distec/distec/internal/persist"
+	"github.com/distec/distec/internal/sessions"
 )
 
 // WAL streaming replication: a leader exposes every session's durable
@@ -47,13 +48,6 @@ func (s *server) rejectFollowing(w http.ResponseWriter) bool {
 	return true
 }
 
-// liveLog returns the session's open log, or nil while passivated.
-func (sess *session) liveLog() *persist.Log {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.log
-}
-
 // validSessionID rejects path-traversal-shaped ids before they reach
 // filepath.Join (real ids are 16 hex chars).
 func validSessionID(id string) bool {
@@ -76,22 +70,17 @@ type replicateListResponse struct {
 }
 
 // handleReplicateList enumerates replicable sessions straight from the
-// data dir — registry-independent, so retired sessions still replicate
-// and a promoted-or-chained follower can serve the same endpoint.
+// data dir (sessions.List, the rule recovery uses) — registry-independent,
+// so retired sessions still replicate and a promoted-or-chained follower
+// can serve the same endpoint.
 func (s *server) handleReplicateList(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	entries, err := os.ReadDir(s.cfg.dataDir)
+	ids, err := sessions.List(s.cfg.dataDir)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := replicateListResponse{Sessions: []string{}}
-	for _, e := range entries {
-		if e.IsDir() {
-			resp.Sessions = append(resp.Sessions, e.Name())
-		}
-	}
-	s.respond(w, http.StatusOK, resp)
+	s.respond(w, http.StatusOK, replicateListResponse{Sessions: ids})
 }
 
 // handleReplicateSession streams one session's durable state from the
@@ -125,15 +114,7 @@ func (s *server) handleReplicateSession(w http.ResponseWriter, r *http.Request) 
 		// benignly with concurrent appends and compactions — a scan error
 		// below is transient, and the follower simply retries.
 		ctx, cancel := context.WithTimeout(r.Context(), replLongPoll)
-		if sess, ok := s.session(id); ok {
-			if lg := sess.liveLog(); lg != nil {
-				lg.WaitHead(ctx, from)
-			} else {
-				<-ctx.Done()
-			}
-		} else {
-			<-ctx.Done()
-		}
+		s.sessions.WaitHead(ctx, id, from)
 		cancel()
 		snap, recs, err = persist.ReadState(dir, from, false)
 	}
@@ -487,7 +468,7 @@ func (f *follower) apply(id string, snap *persist.Snapshot, recs []persist.Recor
 		var err error
 		lg, err = persist.CreateLog(dir, func(w io.Writer) error {
 			return persist.WriteSnapshot(w, snap)
-		}, f.s.persistOptions())
+		}, f.s.persist)
 		if err != nil {
 			return 0, err
 		}
@@ -571,11 +552,12 @@ func (f *follower) promote() {
 	f.stopOnce.Do(func() { close(f.stop); f.cancel() })
 	f.wg.Wait()
 	f.closeLogs()
-	f.s.recoverSessions()
+	f.s.sessions.Recover()
 	f.s.following.Store(false)
 	close(f.promoted)
-	f.s.logger.Info("promoted to leader", "sessions", f.s.sessionCount(),
-		"recovered", f.s.recovered, "failed", f.s.recoveryFailures)
+	c := f.s.sessions.Counts()
+	f.s.logger.Info("promoted to leader", "sessions", c.Sessions,
+		"recovered", c.Recovered, "failed", c.RecoveryFailures)
 }
 
 // status snapshots the follower's replication positions for the status

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -187,6 +188,96 @@ func TestReplicationAutoPromote(t *testing.T) {
 		t.Fatal("daemon still marked following after auto-promote")
 	}
 	m.checkRecovered(t, followerTS.URL, 3)
+}
+
+// TestReplicationListOmitsEmptyDirs: the leader advertises only
+// directories that hold a session (sessions.IsDir, the rule recovery and
+// sessionctl use), so a follower never polls an empty one — the leftover
+// of a crash mid-create — into an endless stream of 404s.
+func TestReplicationListOmitsEmptyDirs(t *testing.T) {
+	dataDir := t.TempDir()
+	ts, _, _ := newTestServerCfg(t, daemonConfig{dataDir: dataDir})
+	m := createMirroredSession(t, ts.URL, distec.Cycle(8), sessionRequest{})
+	if err := os.Mkdir(filepath.Join(dataDir, "halfborn"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r, err := http.Get(ts.URL + "/v1/replicate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var list replicateListResponse
+	if err := json.NewDecoder(r.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Sessions) != 1 || list.Sessions[0] != m.id {
+		t.Fatalf("replicate list = %v, want only [%s]", list.Sessions, m.id)
+	}
+}
+
+// TestReplicationPromoteDuringScrape scrapes /v1/stats and /metrics in a
+// loop while POST /v1/promote recovers the replicated sessions on the
+// follower's goroutine. The recovery counters both surfaces read are
+// written during that recovery, so under -race this pins that they are
+// shared safely.
+func TestReplicationPromoteDuringScrape(t *testing.T) {
+	leaderTS, _, _ := newTestServerCfg(t, daemonConfig{dataDir: t.TempDir()})
+	followerTS, _, _ := newTestServerCfg(t, daemonConfig{
+		dataDir: t.TempDir(), follow: leaderTS.URL, followPoll: 20 * time.Millisecond,
+	})
+	want := make(map[string]uint64)
+	for i := 0; i < 4; i++ {
+		m := createMirroredSession(t, leaderTS.URL, distec.Cycle(8), sessionRequest{})
+		m.churn(t, leaderTS.URL, 1, 2, uint64(70+i))
+		want[m.id] = 1
+	}
+	waitCaughtUp(t, followerTS.URL, want)
+
+	get := func(path string) []byte {
+		r, err := http.Get(followerTS.URL + path)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer r.Body.Close()
+		body, _ := io.ReadAll(r.Body)
+		return body
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, path := range []string{"/v1/stats", "/metrics", "/v1/stats", "/metrics"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				get(path)
+			}
+		}()
+	}
+	r, err := http.Post(followerTS.URL+"/v1/promote", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, r.Body)
+	r.Body.Close()
+	time.Sleep(50 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("promote: status %d", r.StatusCode)
+	}
+	var st statsResponse
+	if err := json.Unmarshal(get("/v1/stats"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.SessionsRecovered != len(want) || st.RecoveryFailures != 0 {
+		t.Fatalf("promoted stats: recovered=%d failures=%d, want %d/0", st.SessionsRecovered, st.RecoveryFailures, len(want))
+	}
 }
 
 // TestFollowerShutdownKeepsReplicatedFiles pins the non-promoting exit: a

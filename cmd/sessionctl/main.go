@@ -18,11 +18,11 @@
 // rewrite is flushed to the device (always, the default) or left to the
 // kernel (none — faster, survives process crashes only).
 //
-// <dir> is either one session directory (it contains session files —
-// snapshot, wal, or diff) or a data directory whose subdirectories are
-// sessions. A partial session directory (say a WAL whose snapshot is gone)
-// is reported as that session's failure; empty subdirectories are skipped
-// like the daemon's recovery skips them.
+// <dir> is one session directory or a data directory of them, by the
+// daemon's own rule (internal/sessions: a directory holding a snapshot,
+// wal, or diff file is a session): a partial one, say a WAL whose snapshot
+// is gone, is reported as that session's failure, and an empty one is
+// skipped. verify and compact restore through the daemon's restore path.
 //
 // Exit codes are pinned: 0 every session succeeded, 1 any session failed
 // (a torn WAL tail is not a failure — recovery discards it by design, but
@@ -31,17 +31,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
-	"github.com/distec/distec"
 	"github.com/distec/distec/internal/persist"
+	"github.com/distec/distec/internal/sessions"
 )
 
 func main() {
@@ -123,45 +121,24 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// holdsSessionFiles reports whether dir carries any persisted session
-// state. A partial directory — say a WAL whose snapshot never made it, the
-// footprint of a crash inside CreateLog — still counts: it must surface as
-// that session's scan failure, not vanish from the report.
-func holdsSessionFiles(dir string) bool {
-	for _, name := range []string{persist.SnapshotFile, persist.WALFile, persist.DiffFile} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// sessionDirs resolves root to the session directories it holds: itself if
-// it contains session files, otherwise every child directory that does.
-// Empty child directories are skipped (the daemon's recovery does the
-// same); a root with no session state anywhere is an operation failure.
+// sessionDirs resolves root to the session directories it holds: itself
+// if it is a session, otherwise every child directory that is one. A root
+// with no session anywhere is an operation failure.
 func sessionDirs(root string) ([]string, error) {
-	if holdsSessionFiles(root) {
+	if sessions.IsDir(root) {
 		return []string{root}, nil
 	}
-	entries, err := os.ReadDir(root)
+	ids, err := sessions.List(root)
 	if err != nil {
 		return nil, err
 	}
-	var dirs []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		dir := filepath.Join(root, e.Name())
-		if holdsSessionFiles(dir) {
-			dirs = append(dirs, dir)
-		}
-	}
-	if len(dirs) == 0 {
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("%s holds no session (no snapshot, WAL, or diff file at or below it)", root)
 	}
-	sort.Strings(dirs)
+	dirs := make([]string, len(ids))
+	for i, id := range ids {
+		dirs[i] = filepath.Join(root, id)
+	}
 	return dirs, nil
 }
 
@@ -216,33 +193,14 @@ func inspectSession(dir string, out io.Writer) error {
 	return nil
 }
 
-// restoreSession recovers one session fully in memory: the effective
-// snapshot (base with the differential-snapshot chain already merged, as
-// ScanDir and OpenLog return it) restored, surviving WAL records replayed
-// in order on the sequential engine. Reading the raw snapshot file instead
-// would silently drop every diff-compacted batch.
-func restoreSession(snap *persist.Snapshot, records []persist.Record) (*distec.Dynamic, error) {
-	d, err := distec.NewDynamicFromState(snap, distec.DynamicOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if err := distec.ReplayRecords(context.Background(), d, records); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 func verifySession(dir string, out io.Writer) error {
 	snap, replay, info, err := persist.ScanDir(dir)
 	if err != nil {
 		return err
 	}
-	d, err := restoreSession(snap, replay)
+	d, err := sessions.Rebuild(context.Background(), snap, replay, nil)
 	if err != nil {
 		return err
-	}
-	if err := d.Verify(); err != nil {
-		return fmt.Errorf("recovered coloring invalid: %w", err)
 	}
 	st := d.Stats()
 	note := ""
@@ -255,26 +213,16 @@ func verifySession(dir string, out io.Writer) error {
 }
 
 func compactSession(dir string, opts persist.Options, out io.Writer) error {
-	// OpenLog repairs the files (torn tail, interrupted compaction) and
-	// hands back the log for the rewrite.
-	lg, snap, replay, err := persist.OpenLog(dir, opts)
+	// Open repairs the files (torn tail, interrupted compaction) and
+	// refuses a session that does not restore and verify, so nothing is
+	// rewritten from a state the daemon would not serve.
+	d, lg, err := sessions.Open(context.Background(), dir, nil, opts)
 	if err != nil {
 		return err
 	}
 	defer lg.Close()
 	before := lg.WALSize()
-	d, err := restoreSession(snap, replay)
-	if err != nil {
-		return err
-	}
-	if err := d.Verify(); err != nil {
-		return fmt.Errorf("recovered coloring invalid (refusing to compact): %w", err)
-	}
-	var buf bytes.Buffer
-	if err := d.Snapshot(&buf); err != nil {
-		return err
-	}
-	if err := lg.Compact(buf.Bytes()); err != nil {
+	if err := sessions.Compact(d, lg); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "%s: compacted — snapshot now at seq %d, WAL %d bytes → %d\n",

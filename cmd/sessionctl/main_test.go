@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -12,6 +11,7 @@ import (
 
 	"github.com/distec/distec"
 	"github.com/distec/distec/internal/persist"
+	"github.com/distec/distec/internal/sessions"
 )
 
 // buildSession persists a real journaled session under dir: an initial
@@ -32,21 +32,10 @@ func buildSessionOpts(t *testing.T, dir string, batches int, opts persist.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := persist.CreateLog(dir, d.Snapshot, opts)
+	lg, err := sessions.Create(dir, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetJournal(func(b distec.JournalBatch) error {
-		rec := persist.Record{Seq: b.Seq, Updates: make([]persist.Update, len(b.Applied))}
-		for i, up := range b.Applied {
-			op := persist.OpInsert
-			if up.Op == distec.DeleteEdge {
-				op = persist.OpDelete
-			}
-			rec.Updates[i] = persist.Update{Op: op, U: int32(up.U), V: int32(up.V)}
-		}
-		return lg.Append(rec)
-	})
 	// Deterministic churn: delete each original edge, insert a fresh pair.
 	for b := 0; b < batches; b++ {
 		u1, v1 := g.Endpoints(distec.EdgeID(b))
@@ -58,11 +47,7 @@ func buildSessionOpts(t *testing.T, dir string, batches int, opts persist.Option
 			t.Fatal(err)
 		}
 		if compactAt > 0 && b+1 == compactAt {
-			var buf bytes.Buffer
-			if err := d.Snapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := lg.Compact(buf.Bytes()); err != nil {
+			if err := sessions.Compact(d, lg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -182,7 +167,7 @@ func TestCompact(t *testing.T) {
 	if snap.Seq != 6 || len(replay) != 0 {
 		t.Fatalf("after compact: snapshot seq %d, %d records", snap.Seq, len(replay))
 	}
-	d, err := restoreSession(snap, replay)
+	d, err := sessions.Rebuild(context.Background(), snap, replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +257,7 @@ func TestDiffCompactedSessionTools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := restoreSession(snap, replay)
+	d, err := sessions.Rebuild(context.Background(), snap, replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +282,8 @@ func TestDiffCompactedSessionTools(t *testing.T) {
 
 // TestPartialSessionDir pins the report on damaged layouts: a session
 // whose snapshot is gone fails loudly (exit 1 path), and an empty
-// subdirectory in a data dir is skipped exactly like the daemon skips it.
+// subdirectory in a data dir is skipped — the daemon's recovery and
+// replication apply the same rule (sessions.IsDir).
 func TestPartialSessionDir(t *testing.T) {
 	root := t.TempDir()
 	buildSession(t, filepath.Join(root, "aaa"), 2)

@@ -133,6 +133,7 @@ func DefaultConfig() Config {
 		ReadmePath:       "README.md",
 		RequestScopedPackages: []string{
 			"internal/serve",
+			"internal/sessions",
 			"cmd/edgecolord",
 		},
 	}
