@@ -17,8 +17,9 @@ import (
 	"github.com/distec/distec/internal/trace"
 )
 
-// The benchmarks below regenerate each experiment of DESIGN.md §2 at smoke
-// scale (so `go test -bench=.` stays tractable); cmd/benchtables produces
+// The benchmarks below regenerate each experiment E1–E14 (indexed by the
+// runners' doc comments in internal/bench/experiments.go) at smoke scale
+// (so `go test -bench=.` stays tractable); cmd/benchtables produces
 // the full tables recorded in EXPERIMENTS.md. Each benchmark reports the
 // experiment's key figure of merit as a custom metric alongside ns/op.
 

@@ -1,5 +1,6 @@
 // Command benchtables regenerates every experiment table of EXPERIMENTS.md
-// (the per-claim reproduction index is in DESIGN.md §2).
+// (the per-claim reproduction index is the E1–E14 runners' doc comments
+// in internal/bench/experiments.go).
 //
 // Usage:
 //

@@ -463,7 +463,7 @@ func newDaemon(pool *distec.Pool, cfg daemonConfig) (*server, error) {
 	s := &server{pool: pool, cfg: cfg, start: time.Now(), reg: reg}
 	s.logger = cfg.logger
 	if s.logger == nil {
-		s.logger = slog.New(slog.DiscardHandler)
+		s.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	if cfg.follow != "" && cfg.dataDir == "" {
 		return nil, errors.New("-follow requires -data-dir (the standby needs somewhere to replicate to)")

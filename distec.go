@@ -141,8 +141,8 @@ type Result struct {
 	Diagnostics *Diagnostics
 }
 
-// Diagnostics exposes the BKO solver's instrumentation counters; see the
-// paper mapping in DESIGN.md.
+// Diagnostics exposes the BKO solver's instrumentation counters; each
+// field's comment names the part of the paper it counts.
 type Diagnostics struct {
 	OuterSweeps    int   // Lemma 4.2 sweeps
 	DefectiveCalls int   // §4.1 defective colorings computed

@@ -3,8 +3,17 @@
 // reporting, //distec:nolint suppressions) plus analyzers that
 // machine-check the conventions the codebase's correctness rests on —
 // deterministic solvers, errors.Is on sentinels, allocation-free hot
-// paths, no blocking I/O under locks, and a metrics catalog that cannot
-// drift from the docs.
+// paths, no blocking I/O under locks, a cycle-free lock order,
+// goroutines that can terminate, context and atomic-access discipline,
+// and a metrics catalog that cannot drift from the docs.
+//
+// Mechanisms the analyzers share exist once. hotpath, lockio, lockorder
+// and goroleak follow calls through one memoized callee summary over
+// the static call graph (summary); lockio and lockorder track held
+// mutexes with one statement-order walk (lockWalk, with mutexOp and
+// release as its lock model); and one module-wide //distec:nolint index
+// (Module.suppressed) serves both the driver's filtering and the
+// summaries, which skip sites justified in place.
 //
 // The suite is zero-dependency by construction: loading is go/parser,
 // type checking is go/types with the stdlib source importer, and the

@@ -87,7 +87,6 @@ func (e CGEdge) String() string {
 // CallGraph is the module-wide call graph; build via Module.CallGraph.
 type CallGraph struct {
 	nodes  map[*types.Func]*CGNode
-	out    map[*CGNode][]CGEdge
 	static map[*ast.CallExpr]*CGNode
 	edges  []CGEdge
 }
@@ -107,10 +106,6 @@ func (m *Module) CallGraph() *CallGraph {
 // kind).
 func (g *CallGraph) Edges() []CGEdge { return g.edges }
 
-// NodeOf returns the graph node for a declared module function, nil for
-// functions outside the module (or without a body).
-func (g *CallGraph) NodeOf(fn *types.Func) *CGNode { return g.nodes[fn] }
-
 // StaticCallee resolves a call expression to the module function it
 // directly invokes — the exact edges. Interface and value calls return
 // (nil, false): transitive analyzers must fail safe on them.
@@ -119,16 +114,44 @@ func (g *CallGraph) StaticCallee(call *ast.CallExpr) (*CGNode, bool) {
 	return n, ok
 }
 
-// StaticCallees returns the static out-edges of a node, for transitive
-// walks (deterministic order).
-func (g *CallGraph) StaticCallees(n *CGNode) []CGEdge {
-	var out []CGEdge
-	for _, e := range g.out[n] {
-		if e.Kind == EdgeStatic {
-			out = append(out, e)
-		}
+// summary memoizes a per-function fact over the static call graph:
+// scan computes it from one declared function's body, reading its
+// static callees' facts through of. A function already on the stack
+// reads as the zero value, "nothing found", which ends the recursion
+// on a cycle fail-safe: a fact reachable only further round the cycle
+// can be missed, never invented.
+type summary[T any] struct {
+	scan     func(m *Module, n *CGNode) T
+	memo     map[*CGNode]T
+	visiting map[*CGNode]bool
+}
+
+func newSummary[T any](scan func(m *Module, n *CGNode) T) *summary[T] {
+	return &summary[T]{scan: scan, memo: map[*CGNode]T{}, visiting: map[*CGNode]bool{}}
+}
+
+// of returns n's fact, computing it on first use.
+func (s *summary[T]) of(m *Module, n *CGNode) T {
+	if v, ok := s.memo[n]; ok {
+		return v
 	}
-	return out
+	var v T
+	if s.visiting[n] {
+		return v
+	}
+	s.visiting[n] = true
+	v = s.scan(m, n)
+	delete(s.visiting, n)
+	s.memo[n] = v
+	return v
+}
+
+// violation is one offending site found down a call chain (blocking
+// I/O for lockio, a steady-state allocation for hotpath), reported at
+// the call site that reaches it.
+type violation struct {
+	what string
+	pos  token.Pos
 }
 
 // edgeKey dedupes edges: one (caller, callee, kind) triple is recorded
@@ -151,7 +174,6 @@ func buildCallGraph(m *Module) *CallGraph {
 		m: m,
 		g: &CallGraph{
 			nodes:  map[*types.Func]*CGNode{},
-			out:    map[*CGNode][]CGEdge{},
 			static: map[*ast.CallExpr]*CGNode{},
 		},
 		seen:  map[edgeKey]bool{},
@@ -184,9 +206,6 @@ func buildCallGraph(m *Module) *CallGraph {
 		}
 		return a.Kind < c.Kind
 	})
-	for _, e := range b.g.edges {
-		b.g.out[e.Caller] = append(b.g.out[e.Caller], e)
-	}
 	return b.g
 }
 

@@ -29,9 +29,14 @@ func newGoroLeak() *Analyzer {
 		Name: "goroleak",
 		Doc:  "flags go statements whose goroutine reaches an infinite loop with no return, break, or Goexit on any path",
 	}
+	// A callee's fact is its first leaky loop, directly or down its
+	// static callees (token.NoPos: none).
+	var loops *summary[token.Pos]
+	loops = newSummary(func(m *Module, n *CGNode) token.Pos {
+		return leakyLoopIn(m, loops, n.Decl.Body)
+	})
 	a.Run = func(p *Pass) {
 		g := p.Module.CallGraph()
-		scan := &leakScan{m: p.Module, memo: map[*CGNode]token.Pos{}, visiting: map[*CGNode]bool{}}
 		for _, f := range p.Pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				gs, ok := n.(*ast.GoStmt)
@@ -40,9 +45,9 @@ func newGoroLeak() *Analyzer {
 				}
 				var loop token.Pos
 				if lit, ok := unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-					loop = scan.leakyLoopIn(lit.Body)
+					loop = leakyLoopIn(p.Module, loops, lit.Body)
 				} else if callee, ok := g.StaticCallee(gs.Call); ok {
-					loop = scan.leakyLoopInNode(callee)
+					loop = loops.of(p.Module, callee)
 				}
 				if loop.IsValid() {
 					p.Reportf(gs.Pos(), "goroutine has no termination path: infinite loop at %s never returns or breaks — gate it on ctx.Done, Options.Interrupt, or a closed channel", p.Module.Fset.Position(loop))
@@ -54,35 +59,11 @@ func newGoroLeak() *Analyzer {
 	return a
 }
 
-type leakScan struct {
-	m        *Module
-	memo     map[*CGNode]token.Pos // token.NoPos = no leaky loop reachable
-	visiting map[*CGNode]bool
-}
-
-// leakyLoopInNode is leakyLoopIn over a declared function, memoized and
-// cycle-safe: mutual recursion terminates because a node currently being
-// scanned reports no loop (fail safe — the loop, if any, is found when
-// its own frame finishes).
-func (s *leakScan) leakyLoopInNode(n *CGNode) token.Pos {
-	if pos, ok := s.memo[n]; ok {
-		return pos
-	}
-	if s.visiting[n] {
-		return token.NoPos
-	}
-	s.visiting[n] = true
-	defer delete(s.visiting, n)
-	pos := s.leakyLoopIn(n.Decl.Body)
-	s.memo[n] = pos
-	return pos
-}
-
 // leakyLoopIn returns the position of the first infinite loop without a
 // termination path reachable from body — directly, or through static
 // callees. Nested function literals and nested go statements belong to
 // other goroutines and are skipped (each `go` site gets its own check).
-func (s *leakScan) leakyLoopIn(body *ast.BlockStmt) token.Pos {
+func leakyLoopIn(m *Module, loops *summary[token.Pos], body *ast.BlockStmt) token.Pos {
 	found := token.NoPos
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found.IsValid() {
@@ -97,8 +78,8 @@ func (s *leakScan) leakyLoopIn(body *ast.BlockStmt) token.Pos {
 				return false
 			}
 		case *ast.CallExpr:
-			if callee, ok := s.m.CallGraph().StaticCallee(n); ok {
-				if pos := s.leakyLoopInNode(callee); pos.IsValid() {
+			if callee, ok := m.CallGraph().StaticCallee(n); ok {
+				if pos := loops.of(m, callee); pos.IsValid() {
 					found = pos
 					return false
 				}

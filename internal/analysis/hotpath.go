@@ -32,7 +32,38 @@ func newHotPath() *Analyzer {
 		Name: "hotpath",
 		Doc:  "flags fmt, capturing closures, map allocation, fresh-slice append, and unguarded trace calls inside (or statically reachable from) //distec:hotpath functions",
 	}
-	sums := &hotSums{memo: map[*CGNode]*hotViolation{}, visiting: map[*CGNode]bool{}}
+	var sums *summary[*violation]
+	// A callee's fact is the first steady-state allocation on its own
+	// path or down its static callees; callees marked //distec:hotpath
+	// are checked directly, and cold paths and sites justified in place
+	// are skipped.
+	sums = newSummary(func(m *Module, n *CGNode) *violation {
+		var found *violation
+		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+			if found != nil {
+				return false
+			}
+			switch node := node.(type) {
+			case *ast.FuncLit, *ast.GoStmt:
+				return false // other goroutines / deferred closures: separate cost
+			case *ast.CallExpr, *ast.CompositeLit:
+				if coldPath(n.Decl, node.Pos()) || m.posSuppressed(node.Pos(), "hotpath") {
+					return true
+				}
+				if what, _ := steadyAlloc(n.Pkg.Info, node); what != "" {
+					found = &violation{what: what, pos: node.Pos()}
+					return false
+				}
+				if call, ok := node.(*ast.CallExpr); ok {
+					if callee, ok := m.CallGraph().StaticCallee(call); ok && !isHotPath(callee.Decl) {
+						found = sums.of(m, callee)
+					}
+				}
+			}
+			return true
+		})
+		return found
+	})
 	a.Run = func(p *Pass) {
 		for _, f := range p.Pkg.Files {
 			for _, decl := range f.Decls {
@@ -46,115 +77,60 @@ func newHotPath() *Analyzer {
 	return a
 }
 
-// hotViolation is one steady-state allocation found in a callee, for
-// transitive reporting at the hot-path call site.
-type hotViolation struct {
-	what string
-	pos  token.Pos
-}
-
-type hotSums struct {
-	memo     map[*CGNode]*hotViolation // nil value = callee is clean
-	visiting map[*CGNode]bool
-}
-
-// violationIn returns the first fmt call or map allocation on the
-// steady-state (non-cold) path of a declared function, searching its
-// static callees transitively. Memoized; recursion reports the callee
-// under scan as clean, which terminates cycles fail-safe.
-func (s *hotSums) violationIn(m *Module, n *CGNode) *hotViolation {
-	if v, ok := s.memo[n]; ok {
-		return v
-	}
-	if s.visiting[n] {
-		return nil
-	}
-	s.visiting[n] = true
-	defer delete(s.visiting, n)
-	info := n.Pkg.Info
-	cold := func(pos token.Pos) bool {
-		list, top := enclosingStmtList(n.Decl, pos)
-		return !top && endsInReturn(list)
-	}
-	var found *hotViolation
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if found != nil {
+// steadyAlloc classifies n as one of the allocations a hot path must
+// keep off its steady state: an fmt call, a make of a map, or a map
+// literal. what names it for transitive findings and msg is the direct
+// finding; both are "" for anything else.
+func steadyAlloc(info *types.Info, n ast.Node) (what, msg string) {
+	isMap := func(e ast.Expr) bool {
+		tv, ok := info.Types[e]
+		if !ok || tv.Type == nil {
 			return false
 		}
-		switch node := node.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false // other goroutines / deferred closures: separate cost
-		case *ast.CallExpr:
-			if cold(node.Pos()) || m.posSuppressed(node.Pos(), "hotpath") {
-				return true
-			}
-			if callPkgPath(info, node) == "fmt" {
-				found = &hotViolation{what: types.ExprString(node.Fun), pos: node.Pos()}
-				return false
-			}
-			if id, ok := unparen(node.Fun).(*ast.Ident); ok && id.Name == "make" {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					if tv, ok := info.Types[node]; ok && tv.Type != nil {
-						if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-							found = &hotViolation{what: "map allocation", pos: node.Pos()}
-							return false
-						}
-					}
-				}
-			}
-			if callee, ok := m.CallGraph().StaticCallee(node); ok && !isHotPath(callee.Decl) {
-				found = s.violationIn(m, callee)
-			}
-		case *ast.CompositeLit:
-			if tv, ok := info.Types[node]; ok && tv.Type != nil {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap &&
-					!cold(node.Pos()) && !m.posSuppressed(node.Pos(), "hotpath") {
-					found = &hotViolation{what: "map literal", pos: node.Pos()}
-					return false
-				}
+		_, ok = tv.Type.Underlying().(*types.Map)
+		return ok
+	}
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if callPkgPath(info, n) == "fmt" {
+			what = types.ExprString(n.Fun)
+			return what, what + " in hot path: fmt formats through interfaces and allocates"
+		}
+		if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "make" {
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && isMap(n) {
+				return "map allocation", "map allocated in hot path: hoist it out of the per-round loop and reuse"
 			}
 		}
-		return true
-	})
-	s.memo[n] = found
-	return found
+	case *ast.CompositeLit:
+		if isMap(n) {
+			return "map literal", "map literal in hot path: hoist it out of the per-round loop and reuse"
+		}
+	}
+	return "", ""
 }
 
-func checkHotFunc(p *Pass, fd *ast.FuncDecl, sums *hotSums) {
+// coldPath reports whether pos sits in a nested block of fd that
+// terminates in return — an early-exit error path, not steady-state
+// round work.
+func coldPath(fd *ast.FuncDecl, pos token.Pos) bool {
+	list, top := enclosingStmtList(fd, pos)
+	return !top && endsInReturn(list)
+}
+
+func checkHotFunc(p *Pass, fd *ast.FuncDecl, sums *summary[*violation]) {
 	info := p.Pkg.Info
-	// cold: the statement sits in a nested block that terminates in
-	// return — an early-exit error path, not steady-state round work.
-	cold := func(pos token.Pos) bool {
-		list, top := enclosingStmtList(fd, pos)
-		return !top && endsInReturn(list)
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if what, msg := steadyAlloc(info, n); what != "" && !coldPath(fd, n.Pos()) {
+			p.Reportf(n.Pos(), "%s", msg)
+		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if callPkgPath(info, n) == "fmt" && !cold(n.Pos()) {
-				p.Reportf(n.Pos(), "%s in hot path: fmt formats through interfaces and allocates", types.ExprString(n.Fun))
-			}
 			if tracerCall(p, n) && !nilGuarded(fd, n.Pos()) {
 				p.Reportf(n.Pos(), "unguarded tracer call %s in hot path: wrap in an `if x != nil` so the disabled cost stays one pointer test", types.ExprString(n.Fun))
 			}
-			if callee, ok := p.Module.CallGraph().StaticCallee(n); ok && !isHotPath(callee.Decl) && !cold(n.Pos()) {
-				if v := sums.violationIn(p.Module, callee); v != nil {
+			if callee, ok := p.Module.CallGraph().StaticCallee(n); ok && !isHotPath(callee.Decl) && !coldPath(fd, n.Pos()) {
+				if v := sums.of(p.Module, callee); v != nil {
 					p.Reportf(n.Pos(), "call to %s in hot path transitively reaches %s at %s on its steady-state path", callee.Fn.Name(), v.what, p.Module.Fset.Position(v.pos))
-				}
-			}
-			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "make" {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					if tv, ok := info.Types[n]; ok && tv.Type != nil {
-						if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !cold(n.Pos()) {
-							p.Reportf(n.Pos(), "map allocated in hot path: hoist it out of the per-round loop and reuse")
-						}
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			if tv, ok := info.Types[n]; ok && tv.Type != nil {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !cold(n.Pos()) {
-					p.Reportf(n.Pos(), "map literal in hot path: hoist it out of the per-round loop and reuse")
 				}
 			}
 		case *ast.FuncLit:
@@ -163,7 +139,7 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl, sums *hotSums) {
 			}
 			return false // its body is the closure's cost, already priced in
 		case *ast.AssignStmt:
-			checkFreshAppend(p, n, cold)
+			checkFreshAppend(p, fd, n)
 		}
 		return true
 	})
@@ -172,7 +148,7 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl, sums *hotSums) {
 // checkFreshAppend flags append results not assigned back to the
 // expression they grew from — each such call builds a fresh backing
 // array instead of amortizing one.
-func checkFreshAppend(p *Pass, n *ast.AssignStmt, cold func(token.Pos) bool) {
+func checkFreshAppend(p *Pass, fd *ast.FuncDecl, n *ast.AssignStmt) {
 	if len(n.Lhs) != len(n.Rhs) {
 		return
 	}
@@ -182,7 +158,7 @@ func checkFreshAppend(p *Pass, n *ast.AssignStmt, cold func(token.Pos) bool) {
 			continue
 		}
 		lhs, src := types.ExprString(n.Lhs[i]), types.ExprString(call.Args[0])
-		if lhs != src && !cold(n.Pos()) {
+		if lhs != src && !coldPath(fd, n.Pos()) {
 			p.Reportf(n.Pos(), "append to fresh slice in hot path: result goes to %s, not back to %s, so every call reallocates", lhs, src)
 		}
 	}

@@ -28,40 +28,32 @@ type Module struct {
 	byPath   map[string]*Package
 	fallback types.Importer // stdlib, from source
 
-	cg    *CallGraph             // lazy, via CallGraph()
-	supAt map[string]suppression // lazy "file:line" suppression index, via suppressedAt
+	cg  *CallGraph                     // lazy, via CallGraph()
+	sup map[string]map[int]suppression // lazy, by filename then line, via suppressed
 }
 
-// suppressedAt reports whether a //distec:nolint directive anywhere in
-// the module silences the named analyzer at file:line. The driver
-// applies suppressions per selected package; this module-wide index
-// exists for the transitive analyzers, whose callee summaries must skip
-// sites that were already justified in place — otherwise every caller of
-// a nolint-ed function would re-report the suppressed finding.
-func (m *Module) suppressedAt(file string, line int, analyzer string) bool {
-	if m.supAt == nil {
-		m.supAt = map[string]suppression{}
+// suppressed reports whether a //distec:nolint directive anywhere in the
+// module silences the named analyzer at file:line. The driver filters
+// every finding through it, and the transitive analyzers' callee
+// summaries skip sites already justified in place — otherwise every
+// caller of a nolint-ed function would re-report the suppressed finding.
+func (m *Module) suppressed(file string, line int, analyzer string) bool {
+	if m.sup == nil {
+		m.sup = map[string]map[int]suppression{}
 		for _, pkg := range m.Pkgs {
-			for _, f := range pkg.Files {
-				for l, s := range suppressionsOf(m.Fset, f) {
-					name := m.Fset.Position(f.Pos()).Filename
-					key := fmt.Sprintf("%s:%d", name, l)
-					if prev, ok := m.supAt[key]; ok {
-						s = mergeSuppression(prev, s)
-					}
-					m.supAt[key] = s
-				}
+			for i, f := range pkg.Files {
+				m.sup[pkg.Filenames[i]] = suppressionsOf(m.Fset, f)
 			}
 		}
 	}
-	s, ok := m.supAt[fmt.Sprintf("%s:%d", file, line)]
+	s, ok := m.sup[file][line]
 	return ok && s.suppressed(analyzer)
 }
 
-// posSuppressed is suppressedAt keyed by a token.Pos.
+// posSuppressed is suppressed keyed by a token.Pos.
 func (m *Module) posSuppressed(pos token.Pos, analyzer string) bool {
 	p := m.Fset.Position(pos)
-	return m.suppressedAt(p.Filename, p.Line, analyzer)
+	return m.suppressed(p.Filename, p.Line, analyzer)
 }
 
 // Package is one parsed and type-checked package of the module.

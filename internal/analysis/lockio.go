@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -22,11 +21,8 @@ import (
 // path serializes writes by construction — carry //distec:nolint lockio
 // with a justification.
 //
-// The scan is deliberately conservative: branches are analyzed with the
-// lock state at entry and do not change it for following statements
-// (an unlock inside an if that returns does not release the lock for
-// the code after the if), deferred unlocks never release for scanning
-// purposes, and goroutine bodies and function literals are skipped.
+// Which locks are held follows the conservative held-lock model lockio
+// shares with lockorder (lockWalk).
 //
 // The check is transitive through the module call graph: a call made
 // under the lock whose static callee (at any depth) performs blocking
@@ -39,238 +35,51 @@ func newLockIO() *Analyzer {
 		Name: "lockio",
 		Doc:  "flags blocking I/O (file writes, fsync, os calls, journal hooks) reachable, directly or through static callees, while a mutex locked in the same function is held",
 	}
-	sums := &ioSums{memo: map[*CGNode]*ioViolation{}, visiting: map[*CGNode]bool{}}
-	a.Run = func(p *Pass) {
-		for _, f := range p.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if fd, ok := n.(*ast.FuncDecl); ok && fd.Body != nil {
-					scanLockedIO(p, sums, fd.Body.List, nil)
-				}
-				return true
-			})
-		}
-	}
-	return a
-}
-
-// ioViolation is one blocking-I/O site found in a callee, for
-// transitive reporting at the under-lock call site.
-type ioViolation struct {
-	what string
-	pos  token.Pos
-}
-
-type ioSums struct {
-	memo     map[*CGNode]*ioViolation // nil value = callee does no blocking I/O
-	visiting map[*CGNode]bool
-}
-
-// violationIn returns the first unsuppressed blocking-I/O call in a
-// declared function or its static callees. Memoized; recursion treats
-// the callee under scan as clean, terminating cycles fail-safe.
-func (s *ioSums) violationIn(m *Module, n *CGNode) *ioViolation {
-	if v, ok := s.memo[n]; ok {
-		return v
-	}
-	if s.visiting[n] {
-		return nil
-	}
-	s.visiting[n] = true
-	defer delete(s.visiting, n)
-	var found *ioViolation
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		switch node := node.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false // runs on another goroutine or at return
-		case *ast.CallExpr:
-			if m.posSuppressed(node.Pos(), "lockio") {
-				return true
-			}
-			if what := blockingIO(n.Pkg.Info, node); what != "" {
-				found = &ioViolation{what: what, pos: node.Pos()}
+	var sums *summary[*violation]
+	// A callee's fact is its first blocking-I/O call, directly or further
+	// down its static callees, skipping sites justified in place.
+	sums = newSummary(func(m *Module, n *CGNode) *violation {
+		var found *violation
+		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+			if found != nil {
 				return false
 			}
-			if callee, ok := m.CallGraph().StaticCallee(node); ok {
-				found = s.violationIn(m, callee)
-			}
-		}
-		return true
-	})
-	s.memo[n] = found
-	return found
-}
-
-// scanLockedIO walks stmts in order, tracking the stack of held lock
-// names, and reports I/O calls made while the stack is non-empty.
-// It returns the stack as of the end of the list.
-func scanLockedIO(p *Pass, sums *ioSums, stmts []ast.Stmt, held []string) []string {
-	for _, st := range stmts {
-		held = scanStmt(p, sums, st, held)
-	}
-	return held
-}
-
-func scanStmt(p *Pass, sums *ioSums, st ast.Stmt, held []string) []string {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := unparen(st.X).(*ast.CallExpr); ok {
-			if name, delta := lockDelta(p, call); delta != 0 {
-				if delta > 0 {
-					return append(held, name)
+			switch node := node.(type) {
+			case *ast.FuncLit, *ast.GoStmt:
+				return false // runs on another goroutine or at return
+			case *ast.CallExpr:
+				if m.posSuppressed(node.Pos(), "lockio") {
+					return true
 				}
-				return releaseLock(held, name)
-			}
-		}
-		checkIOExpr(p, sums, st.X, held)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() releases only at return: the lock stays held
-		// for everything after this statement. Other deferred calls run
-		// outside the scanned order; skip them.
-	case *ast.GoStmt:
-		// A spawned goroutine does not hold this function's locks.
-	case *ast.BlockStmt:
-		held = scanLockedIO(p, sums, st.List, held)
-	case *ast.LabeledStmt:
-		held = scanStmt(p, sums, st.Stmt, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			held = scanStmt(p, sums, st.Init, held)
-		}
-		checkIOExpr(p, sums, st.Cond, held)
-		scanLockedIO(p, sums, st.Body.List, held)
-		if st.Else != nil {
-			scanStmt(p, sums, st.Else, held)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			held = scanStmt(p, sums, st.Init, held)
-		}
-		if st.Cond != nil {
-			checkIOExpr(p, sums, st.Cond, held)
-		}
-		scanLockedIO(p, sums, st.Body.List, held)
-	case *ast.RangeStmt:
-		checkIOExpr(p, sums, st.X, held)
-		scanLockedIO(p, sums, st.Body.List, held)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			held = scanStmt(p, sums, st.Init, held)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				scanLockedIO(p, sums, cc.Body, held)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				scanLockedIO(p, sums, cc.Body, held)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				scanLockedIO(p, sums, cc.Body, held)
-			}
-		}
-	default:
-		// Assignments, returns, sends, incdec: no lock transitions, but
-		// their expressions may perform I/O.
-		if len(held) > 0 {
-			ast.Inspect(st, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
+				if what := blockingIO(n.Pkg.Info, node); what != "" {
+					found = &violation{what: what, pos: node.Pos()}
 					return false
 				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					reportIfBlockingIO(p, sums, call, held)
+				if callee, ok := m.CallGraph().StaticCallee(node); ok {
+					found = sums.of(m, callee)
 				}
-				return true
-			})
-		}
-	}
-	return held
-}
-
-// checkIOExpr reports blocking I/O calls inside e while locks are held.
-func checkIOExpr(p *Pass, sums *ioSums, e ast.Expr, held []string) {
-	if e == nil || len(held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			reportIfBlockingIO(p, sums, call, held)
-		}
-		return true
+			}
+			return true
+		})
+		return found
 	})
-}
-
-func reportIfBlockingIO(p *Pass, sums *ioSums, call *ast.CallExpr, held []string) {
-	if what := blockingIO(p.Pkg.Info, call); what != "" {
-		p.Reportf(call.Pos(), "blocking I/O (%s) while %s is held: device latency becomes lock hold time", what, held[len(held)-1])
-		return
+	a.Run = func(p *Pass) {
+		w := &lockWalk{pkg: p.Pkg, call: func(call *ast.CallExpr, held []mutexRef) {
+			lock := held[len(held)-1].expr
+			if what := blockingIO(p.Pkg.Info, call); what != "" {
+				p.Reportf(call.Pos(), "blocking I/O (%s) while %s is held: device latency becomes lock hold time", what, lock)
+				return
+			}
+			if callee, ok := p.Module.CallGraph().StaticCallee(call); ok {
+				if v := sums.of(p.Module, callee); v != nil {
+					p.Reportf(call.Pos(), "call to %s while %s is held transitively performs blocking I/O (%s at %s): device latency becomes lock hold time",
+						callee.Fn.Name(), lock, v.what, p.Module.Fset.Position(v.pos))
+				}
+			}
+		}}
+		w.funcs(p.Pkg.Files)
 	}
-	callee, ok := p.Module.CallGraph().StaticCallee(call)
-	if !ok {
-		return
-	}
-	if v := sums.violationIn(p.Module, callee); v != nil {
-		p.Reportf(call.Pos(), "call to %s while %s is held transitively performs blocking I/O (%s at %s): device latency becomes lock hold time",
-			callee.Fn.Name(), held[len(held)-1], v.what, p.Module.Fset.Position(v.pos))
-	}
-}
-
-// lockDelta classifies call as a mutex acquire (+1) or release (-1) on
-// a sync.Mutex/RWMutex-typed expression, returning the lock's printed
-// name; ("", 0) otherwise.
-func lockDelta(p *Pass, call *ast.CallExpr) (string, int) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", 0
-	}
-	delta := 0
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		delta = 1
-	case "Unlock", "RUnlock":
-		delta = -1
-	default:
-		return "", 0
-	}
-	tv, ok := p.Pkg.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return "", 0
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", 0
-	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex":
-		return types.ExprString(sel.X), delta
-	}
-	return "", 0
-}
-
-func releaseLock(held []string, name string) []string {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i] == name {
-			return append(held[:i:i], held[i+1:]...)
-		}
-	}
-	if len(held) > 0 {
-		return held[:len(held)-1]
-	}
-	return held
+	return a
 }
 
 // blockingIO classifies call as blocking I/O, returning a short
@@ -315,17 +124,24 @@ func blockingIO(info *types.Info, call *ast.CallExpr) string {
 // recvNamed returns "pkg.Type" for a method selector's receiver type
 // (dereferenced), or "".
 func recvNamed(info *types.Info, sel *ast.SelectorExpr) string {
-	tv, ok := info.Types[sel.X]
-	if !ok || tv.Type == nil {
+	named := derefNamed(info, sel.X)
+	if named == nil || named.Obj().Pkg() == nil {
 		return ""
+	}
+	return named.Obj().Pkg().Name() + "." + named.Obj().Name()
+}
+
+// derefNamed returns the named type of e, looking through a pointer;
+// nil when that type is unnamed or unknown.
+func derefNamed(info *types.Info, e ast.Expr) *types.Named {
+	tv, ok := info.Types[e]
+	if !ok || tv.Type == nil {
+		return nil
 	}
 	t := tv.Type
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Name() + "." + named.Obj().Name()
+	named, _ := t.(*types.Named)
+	return named
 }

@@ -15,7 +15,7 @@ import (
 // append lock, each individually correct and jointly fatal.
 //
 // The analyzer groups acquisitions into lock classes — the declared
-// field or variable being locked, e.g. "(edgecolord.session).mu" — and
+// field or variable being locked, e.g. "(sessions.Session).mu" — and
 // builds a directed acquired-while-held graph: an edge A→B means some
 // function acquires B (directly, or anywhere down its static call
 // chain) while holding A. Any edge that closes a cycle is a deadlock
@@ -23,15 +23,12 @@ import (
 // A→A edge is a recursive-acquisition candidate (Go mutexes are not
 // reentrant).
 //
-// Held-lock tracking reuses lockio's conservative model: RLock counts
-// as Lock (reader/writer pairs still deadlock against each other),
-// deferred unlocks never release, branches do not change the state of
-// following statements, and goroutine/closure bodies are skipped. Call
-// chains follow only static call-graph edges — interface and
-// function-value calls resolve to nothing, so an unresolvable call
-// never manufactures a finding. Deliberate exceptions (e.g. an
-// address-ordered double acquire) carry //distec:nolint lockorder at
-// the reported site.
+// Which locks are held follows the conservative held-lock model
+// lockorder shares with lockio (lockWalk). Call chains follow only static
+// call-graph edges — interface and function-value calls resolve to
+// nothing, so an unresolvable call never manufactures a finding.
+// Deliberate exceptions (e.g. an address-ordered double acquire) carry
+// //distec:nolint lockorder at the reported site.
 //
 // The check is only sound with every acquisition in view, so it runs in
 // Finish and stands down on partial package selections.
@@ -45,24 +42,14 @@ func newLockOrder() *Analyzer {
 			return // lock classes span packages; partial views would lie
 		}
 		s := &lockOrderState{
-			m:         m,
-			display:   map[*types.Var]string{},
-			edgeSeen:  map[[2]*types.Var]bool{},
-			summaries: map[*CGNode]map[*types.Var]bool{},
-			visiting:  map[*CGNode]bool{},
+			m:        m,
+			label:    map[*types.Var]string{},
+			edgeSeen: map[[2]*types.Var]bool{},
 		}
-		g := m.CallGraph()
+		s.acquired = newSummary(s.acquiredIn)
 		for _, pkg := range m.Pkgs {
-			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Body == nil {
-						continue
-					}
-					fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-					s.scanStmts(g.NodeOf(fn), pkg, fd.Body.List, nil)
-				}
-			}
+			w := &lockWalk{pkg: pkg, acquire: s.acquire, call: s.call}
+			w.funcs(pkg.Files)
 		}
 		s.reportCycles(report)
 	}
@@ -79,237 +66,62 @@ type loEdge struct {
 }
 
 type lockOrderState struct {
-	m         *Module
-	display   map[*types.Var]string
-	edges     []loEdge
-	edgeSeen  map[[2]*types.Var]bool
-	summaries map[*CGNode]map[*types.Var]bool
-	visiting  map[*CGNode]bool
+	m        *Module
+	label    map[*types.Var]string // first label seen per class
+	edges    []loEdge
+	edgeSeen map[[2]*types.Var]bool
+	// acquired is every class a function may acquire, directly or down
+	// its static call chain.
+	acquired *summary[map[*types.Var]bool]
 }
 
-// lockClassOf classifies call as an acquire (+1) or release (-1) of a
-// declared mutex field/variable, returning the class object and its
-// printable name. (nil, 0, "") for everything else.
-func lockClassOf(pkg *Package, call *ast.CallExpr) (*types.Var, int, string) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, 0, ""
+// see records the class's label on first sight and returns the class.
+func (s *lockOrderState) see(ref mutexRef) *types.Var {
+	if _, ok := s.label[ref.class]; !ok && ref.class != nil {
+		s.label[ref.class] = ref.label
 	}
-	delta := 0
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		delta = 1
-	case "Unlock", "RUnlock":
-		delta = -1
-	default:
-		return nil, 0, ""
-	}
-	info := pkg.Info
-	tv, ok := info.Types[sel.X]
-	if !ok || tv.Type == nil || !isMutexType(tv.Type) {
-		return nil, 0, ""
-	}
-	switch x := unparen(sel.X).(type) {
-	case *ast.SelectorExpr:
-		v, ok := info.Uses[x.Sel].(*types.Var)
-		if !ok {
-			return nil, 0, ""
-		}
-		owner := recvNamed(info, x)
-		if owner == "" {
-			owner = pkg.Types.Name()
-		}
-		return v, delta, fmt.Sprintf("(%s).%s", owner, x.Sel.Name)
-	case *ast.Ident:
-		v, ok := identObj(info, x).(*types.Var)
-		if !ok {
-			return nil, 0, ""
-		}
-		return v, delta, pkg.Types.Name() + "." + x.Name
-	}
-	return nil, 0, ""
+	return ref.class
 }
 
-// isMutexType reports whether t (possibly behind a pointer) is
-// sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
+// acquire is the walk's acquisition hook: an edge from every held class
+// to the one acquired.
+func (s *lockOrderState) acquire(call *ast.CallExpr, ref mutexRef, held []mutexRef) {
+	if v := s.see(ref); v != nil {
+		s.addEdges(held, v, call.Pos(), "")
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	name := named.Obj().Name()
-	return name == "Mutex" || name == "RWMutex"
 }
 
-func (s *lockOrderState) class(pkg *Package, call *ast.CallExpr) (*types.Var, int) {
-	v, delta, disp := lockClassOf(pkg, call)
-	if v != nil {
-		if _, ok := s.display[v]; !ok {
-			s.display[v] = disp
-		}
-	}
-	return v, delta
-}
-
-// scanStmts mirrors lockio's statement walk, tracking held lock classes
-// and recording acquired-while-held edges.
-func (s *lockOrderState) scanStmts(node *CGNode, pkg *Package, stmts []ast.Stmt, held []*types.Var) []*types.Var {
-	for _, st := range stmts {
-		held = s.scanStmt(node, pkg, st, held)
-	}
-	return held
-}
-
-func (s *lockOrderState) scanStmt(node *CGNode, pkg *Package, st ast.Stmt, held []*types.Var) []*types.Var {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := unparen(st.X).(*ast.CallExpr); ok {
-			if v, delta := s.class(pkg, call); v != nil {
-				if delta > 0 {
-					for _, h := range held {
-						s.addEdge(h, v, call.Pos(), "")
-					}
-					return append(held, v)
-				}
-				return releaseClass(held, v)
-			}
-		}
-		s.checkCallsExpr(pkg, st.X, held)
-	case *ast.DeferStmt:
-		// Runs at return, outside the scanned order; and a deferred unlock
-		// never releases for scanning purposes.
-	case *ast.GoStmt:
-		// The spawned goroutine does not hold this function's locks.
-	case *ast.BlockStmt:
-		held = s.scanStmts(node, pkg, st.List, held)
-	case *ast.LabeledStmt:
-		held = s.scanStmt(node, pkg, st.Stmt, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			held = s.scanStmt(node, pkg, st.Init, held)
-		}
-		s.checkCallsExpr(pkg, st.Cond, held)
-		s.scanStmts(node, pkg, st.Body.List, held)
-		if st.Else != nil {
-			s.scanStmt(node, pkg, st.Else, held)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			held = s.scanStmt(node, pkg, st.Init, held)
-		}
-		if st.Cond != nil {
-			s.checkCallsExpr(pkg, st.Cond, held)
-		}
-		s.scanStmts(node, pkg, st.Body.List, held)
-	case *ast.RangeStmt:
-		s.checkCallsExpr(pkg, st.X, held)
-		s.scanStmts(node, pkg, st.Body.List, held)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			held = s.scanStmt(node, pkg, st.Init, held)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(node, pkg, cc.Body, held)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(node, pkg, cc.Body, held)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				s.scanStmts(node, pkg, cc.Body, held)
-			}
-		}
-	default:
-		if len(held) > 0 {
-			ast.Inspect(st, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					s.checkCall(pkg, call, held)
-				}
-				return true
-			})
-		}
-	}
-	return held
-}
-
-// checkCallsExpr records summary edges for every call inside e made
-// while locks are held.
-func (s *lockOrderState) checkCallsExpr(pkg *Package, e ast.Expr, held []*types.Var) {
-	if e == nil || len(held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			s.checkCall(pkg, call, held)
-		}
-		return true
-	})
-}
-
-// checkCall records, for a call made with locks held, an edge from every
-// held class to every class the static callee may transitively acquire.
-func (s *lockOrderState) checkCall(pkg *Package, call *ast.CallExpr, held []*types.Var) {
-	if len(held) == 0 {
-		return
-	}
+// call is the walk's under-lock call hook: an edge from every held
+// class to every class the static callee may transitively acquire.
+func (s *lockOrderState) call(call *ast.CallExpr, held []mutexRef) {
 	callee, ok := s.m.CallGraph().StaticCallee(call)
 	if !ok {
 		return // dynamic dispatch: fail safe, no manufactured edges
 	}
-	for _, v := range s.sortedClasses(s.acquiredEver(callee)) {
-		for _, h := range held {
-			s.addEdge(h, v, call.Pos(), callee.Fn.Name())
-		}
+	for _, v := range s.sortedClasses(s.acquired.of(s.m, callee)) {
+		s.addEdges(held, v, call.Pos(), callee.Fn.Name())
 	}
 }
 
-// acquiredEver returns every lock class the function may acquire,
-// directly or down its static call chain. Memoized; recursion returns
-// the empty partial, which terminates cycles (an under-approximation
-// only for classes acquired strictly deeper in the cycle — acceptable,
-// and strictly fail-safe).
-func (s *lockOrderState) acquiredEver(n *CGNode) map[*types.Var]bool {
-	if got, ok := s.summaries[n]; ok {
-		return got
-	}
-	if s.visiting[n] {
-		return nil
-	}
-	s.visiting[n] = true
-	defer delete(s.visiting, n)
+// acquiredIn computes the acquired summary of one function.
+func (s *lockOrderState) acquiredIn(m *Module, n *CGNode) map[*types.Var]bool {
 	out := map[*types.Var]bool{}
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		switch node := node.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false // other goroutines / deferred closures: not this chain
 		case *ast.CallExpr:
-			if v, delta := s.class(n.Pkg, node); v != nil && delta > 0 {
-				out[v] = true
+			if ref, delta := mutexOp(n.Pkg, node); delta > 0 && s.see(ref) != nil {
+				out[ref.class] = true
 			}
-			if callee, ok := s.m.CallGraph().StaticCallee(node); ok {
-				for v := range s.acquiredEver(callee) {
+			if callee, ok := m.CallGraph().StaticCallee(node); ok {
+				for v := range s.acquired.of(m, callee) {
 					out[v] = true
 				}
 			}
 		}
 		return true
 	})
-	s.summaries[n] = out
 	return out
 }
 
@@ -319,35 +131,26 @@ func (s *lockOrderState) sortedClasses(set map[*types.Var]bool) []*types.Var {
 		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if s.display[out[i]] != s.display[out[j]] {
-			return s.display[out[i]] < s.display[out[j]]
+		if s.label[out[i]] != s.label[out[j]] {
+			return s.label[out[i]] < s.label[out[j]]
 		}
 		return out[i].Pos() < out[j].Pos()
 	})
 	return out
 }
 
-// addEdge records one acquired-while-held pair; the first witness in
-// scan order (deterministic: packages, files, statements) wins.
-func (s *lockOrderState) addEdge(from, to *types.Var, pos token.Pos, via string) {
-	key := [2]*types.Var{from, to}
-	if s.edgeSeen[key] {
-		return
-	}
-	s.edgeSeen[key] = true
-	s.edges = append(s.edges, loEdge{from: from, to: to, pos: pos, via: via})
-}
-
-func releaseClass(held []*types.Var, v *types.Var) []*types.Var {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i] == v {
-			return append(held[:i:i], held[i+1:]...)
+// addEdges records to as acquired while each held class is held; the
+// first witness of a pair in scan order (deterministic: packages,
+// files, statements) wins.
+func (s *lockOrderState) addEdges(held []mutexRef, to *types.Var, pos token.Pos, via string) {
+	for _, h := range held {
+		key := [2]*types.Var{h.class, to}
+		if h.class == nil || s.edgeSeen[key] {
+			continue
 		}
+		s.edgeSeen[key] = true
+		s.edges = append(s.edges, loEdge{from: h.class, to: to, pos: pos, via: via})
 	}
-	if len(held) > 0 {
-		return held[:len(held)-1]
-	}
-	return held
 }
 
 // reportCycles reports every edge that participates in a cycle of the
@@ -383,13 +186,13 @@ func (s *lockOrderState) reportCycles(report func(Diagnostic)) {
 		var msg string
 		switch {
 		case e.from == e.to && e.via == "":
-			msg = fmt.Sprintf("recursive acquisition: %s is re-acquired while already held (Go mutexes are not reentrant; self-deadlock)", s.display[e.to])
+			msg = fmt.Sprintf("recursive acquisition: %s is re-acquired while already held (Go mutexes are not reentrant; self-deadlock)", s.label[e.to])
 		case e.from == e.to:
-			msg = fmt.Sprintf("recursive acquisition: call to %s re-acquires %s while it is held (Go mutexes are not reentrant; self-deadlock)", e.via, s.display[e.to])
+			msg = fmt.Sprintf("recursive acquisition: call to %s re-acquires %s while it is held (Go mutexes are not reentrant; self-deadlock)", e.via, s.label[e.to])
 		case reaches(e.to, e.from) && e.via == "":
-			msg = fmt.Sprintf("lock-order cycle: %s is acquired while %s is held, and another chain acquires them in the opposite order (deadlock candidate)", s.display[e.to], s.display[e.from])
+			msg = fmt.Sprintf("lock-order cycle: %s is acquired while %s is held, and another chain acquires them in the opposite order (deadlock candidate)", s.label[e.to], s.label[e.from])
 		case reaches(e.to, e.from):
-			msg = fmt.Sprintf("lock-order cycle: call to %s acquires %s while %s is held, and another chain acquires them in the opposite order (deadlock candidate)", e.via, s.display[e.to], s.display[e.from])
+			msg = fmt.Sprintf("lock-order cycle: call to %s acquires %s while %s is held, and another chain acquires them in the opposite order (deadlock candidate)", e.via, s.label[e.to], s.label[e.from])
 		default:
 			continue
 		}

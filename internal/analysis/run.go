@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/token"
 	"sort"
 	"strings"
 )
@@ -50,13 +49,11 @@ func Run(m *Module, pkgs []*Package, cfg Config) ([]Diagnostic, error) {
 		}
 	}
 
-	sup := suppressionIndex(m.Fset, pkgs)
 	out := diags[:0]
 	for _, d := range diags {
-		if s, ok := sup[d.File][d.Line]; ok && s.suppressed(d.Analyzer) {
-			continue
+		if !m.suppressed(d.File, d.Line, d.Analyzer) {
+			out = append(out, d)
 		}
-		out = append(out, d)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -75,18 +72,4 @@ func Run(m *Module, pkgs []*Package, cfg Config) ([]Diagnostic, error) {
 		return a.Message < b.Message
 	})
 	return out, nil
-}
-
-// suppressionIndex gathers every //distec:nolint directive of the
-// selected packages, keyed by filename then line.
-func suppressionIndex(fset *token.FileSet, pkgs []*Package) map[string]map[int]suppression {
-	out := map[string]map[int]suppression{}
-	for _, pkg := range pkgs {
-		for i, f := range pkg.Files {
-			if sups := suppressionsOf(fset, f); len(sups) > 0 {
-				out[pkg.Filenames[i]] = sups
-			}
-		}
-	}
-	return out
 }

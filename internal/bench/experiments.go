@@ -291,7 +291,7 @@ func E6SpaceReduction(scale Scale) (*Table, error) {
 		Header: []string{"p", "q", "worst Eq.(2) factor", "bound 24·H_q·log p", "phases", "E2 inst.", "direct", "rounds"},
 	}
 	g := graph.RandomRegular(n, d, 5)
-	pairs := defective.GraphPairs(g)
+	pairs := local.GraphPairs(g)
 	lists := fullLists(g.M(), c)
 	for _, p := range []int{4, 8, 16, 32} {
 		params := core.Practical()
@@ -316,7 +316,7 @@ func E7Chain(scale Scale) (*Table, error) {
 		n, d, c = 96, 8, 512
 	}
 	g := graph.RandomRegular(n, d, 9)
-	pairs := defective.GraphPairs(g)
+	pairs := local.GraphPairs(g)
 	lists := fullLists(g.M(), c)
 	lo := make([]int, g.M())
 	active := make([]bool, g.M())
@@ -459,7 +459,7 @@ func E9TheoryPreset(scale Scale) (*Table, error) {
 			g.MaxEdgeDegree(), res.Stats.Rounds, res.Trace.BetaBailouts)
 	}
 	t.Note("The recursion first engages at Δ̄ = %d: the asymptotic regime of Theorem 4.1 lies far beyond simulable graphs, "+
-		"which is why the Practical preset (β=2) exists (see DESIGN.md).", firstEngage)
+		"which is why the Practical preset (β=2) exists.", firstEngage)
 	return t, nil
 }
 
@@ -475,7 +475,7 @@ func E11VirtualSplit(scale Scale) (*Table, error) {
 		side = 96
 	}
 	g := graph.CompleteBipartite(side, side)
-	pairs := defective.GraphPairs(g)
+	pairs := local.GraphPairs(g)
 	c := 256
 	lists := fullLists(g.M(), c)
 	t := &Table{
@@ -560,7 +560,7 @@ func E13AblationPhases(scale Scale) (*Table, error) {
 		n, d = 96, 32
 	}
 	g := graph.RandomRegular(n, d, 29)
-	pairs := defective.GraphPairs(g)
+	pairs := local.GraphPairs(g)
 	lists := fullLists(g.M(), c)
 	t := &Table{
 		ID:     "E13",

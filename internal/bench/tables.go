@@ -1,6 +1,7 @@
 // Package bench is the experiment harness: for every quantitative claim and
 // figure of the paper it provides a runner that regenerates the
-// corresponding table (see DESIGN.md §2 for the experiment index E1–E14).
+// corresponding table (the runners' doc comments in experiments.go are the
+// experiment index E1–E14).
 // cmd/benchtables prints all tables; bench_test.go wraps each runner in a
 // testing.B benchmark.
 package bench

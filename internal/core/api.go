@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/linial"
 	"github.com/distec/distec/internal/listcolor"
 	"github.com/distec/distec/internal/local"
@@ -16,17 +15,7 @@ func SolveGraph(in *listcolor.Instance, params Params, run local.Engine) (*Resul
 	if err := in.Validate(1); err != nil {
 		return nil, fmt.Errorf("core: invalid instance: %w", err)
 	}
-	pairs := graphPairs(in.G)
-	return Solve(pairs, in.Active, in.Lists, in.C, params, run)
-}
-
-func graphPairs(g *graph.Graph) [][2]int64 {
-	pairs := make([][2]int64, g.M())
-	for e := 0; e < g.M(); e++ {
-		u, v := g.Endpoints(graph.EdgeID(e))
-		pairs[e] = [2]int64{int64(u), int64(v)}
-	}
-	return pairs
+	return Solve(local.GraphPairs(in.G), in.Active, in.Lists, in.C, params, run)
 }
 
 // SpaceReduceResult is the outcome of a single color space reduction,

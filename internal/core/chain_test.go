@@ -22,22 +22,13 @@ func newTestSolver(t *testing.T, pairs [][2]int64, params Params) *Solver {
 	return s
 }
 
-func graphPairsOf(g *graph.Graph) [][2]int64 {
-	pairs := make([][2]int64, g.M())
-	for e := 0; e < g.M(); e++ {
-		u, v := g.Endpoints(graph.EdgeID(e))
-		pairs[e] = [2]int64{int64(u), int64(v)}
-	}
-	return pairs
-}
-
 // TestSolveSlackSStrictHighSlack drives the Lemma 4.5 chain directly in
 // strict mode on an instance with ample slack: with full palette lists and
 // tiny degrees the whole chain must run without a single deferral or
 // assertion failure, and the result must be a proper list coloring.
 func TestSolveSlackSStrictHighSlack(t *testing.T) {
 	g := graph.RandomRegular(32, 4, 5) // deg(e)=6, lists of 64 ≫ slack bound
-	pairs := graphPairsOf(g)
+	pairs := local.GraphPairs(g)
 	c := 64
 	palette := make([]int, c)
 	for i := range palette {
@@ -82,7 +73,7 @@ func TestSolveSlackSStrictHighSlack(t *testing.T) {
 // colored edge must still be consistent.
 func TestSolveSlackSDefersPracticalTightSlack(t *testing.T) {
 	g := graph.Complete(12) // deg(e)=20
-	pairs := graphPairsOf(g)
+	pairs := local.GraphPairs(g)
 	c := 24 // lists of 21..24 colors: almost no slack for a chain
 	lists := make([][]int, g.M())
 	active := make([]bool, g.M())
@@ -153,7 +144,7 @@ func TestSolveSlack1OnVirtualStylePairs(t *testing.T) {
 
 // TestDeferralsAlwaysRecover: on a battery of dense graphs the practical
 // preset may defer edges mid-recursion, but Solve must still color
-// everything (the invariant argument of DESIGN.md).
+// everything (the invariant |Le| > deg_uncolored(e) of Params.Strict).
 func TestDeferralsAlwaysRecover(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -165,7 +156,7 @@ func TestDeferralsAlwaysRecover(t *testing.T) {
 		{"bipartite", graph.CompleteBipartite(12, 12)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pairs := graphPairsOf(tc.g)
+			pairs := local.GraphPairs(tc.g)
 			c := 2*tc.g.MaxDegree() - 1
 			palette := make([]int, c)
 			for i := range palette {

@@ -239,7 +239,7 @@ func TestSpaceReduceOnceEq2(t *testing.T) {
 	// uniform instance with ample slack. Degree must exceed q so that
 	// perfect subspace spreading is impossible and the E(1) phases engage.
 	g := graph.RandomRegular(64, 24, 3)
-	pairs := graphPairs(g)
+	pairs := local.GraphPairs(g)
 	c := 256
 	palette := make([]int, c)
 	for i := range palette {
@@ -274,7 +274,7 @@ func TestSpaceReduceAblationWorse(t *testing.T) {
 	// much as the phased assignment on an adversarial instance where many
 	// conflicting edges share the same best subspace.
 	g := graph.CompleteBipartite(24, 24)
-	pairs := graphPairs(g)
+	pairs := local.GraphPairs(g)
 	c := 256
 	lists := make([][]int, g.M())
 	palette := make([]int, c)
@@ -325,7 +325,7 @@ func TestEnginesAgreeOnSolve(t *testing.T) {
 
 func TestSolveRejectsBadInput(t *testing.T) {
 	g := graph.Star(4)
-	pairs := graphPairs(g)
+	pairs := local.GraphPairs(g)
 	lists := [][]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}}
 	if _, err := Solve(pairs, nil, [][]int{{0}}, 3, Practical(), nil); err == nil {
 		t.Fatal("accepted wrong-length lists")

@@ -60,7 +60,7 @@ func TestBuildVirtualPairsDeterministic(t *testing.T) {
 // replay both assume repeated solves agree).
 func TestSpaceReduceOnceDeterministic(t *testing.T) {
 	g := graph.RandomRegular(64, 24, 3)
-	pairs := graphPairs(g)
+	pairs := local.GraphPairs(g)
 	c := 256
 	palette := make([]int, c)
 	for i := range palette {

@@ -13,7 +13,7 @@ import (
 // level = ⌊log₂ q⌋ while deg(e) is small.
 func TestE2PathEngages(t *testing.T) {
 	g := graph.RandomRegular(64, 4, 3) // deg(e) = 6 < 2^4
-	pairs := graphPairsOf(g)
+	pairs := local.GraphPairs(g)
 	c := 512
 	palette := make([]int, c)
 	for i := range palette {
@@ -57,7 +57,7 @@ func TestE2PathEngages(t *testing.T) {
 // virtual conflict degree 2^(ℓ−1)−2 exceeds BaseDegree.
 func TestPhasesEngageWithRecursion(t *testing.T) {
 	g := graph.RandomRegular(96, 40, 7) // deg(e) = 78 ≥ 2^ℓ for ℓ ≤ 6
-	pairs := graphPairsOf(g)
+	pairs := local.GraphPairs(g)
 	c := 512
 	palette := make([]int, c)
 	for i := range palette {
@@ -90,7 +90,7 @@ func TestPhasesEngageWithRecursion(t *testing.T) {
 // per-edge (cross-check between the solver path and the public helper).
 func TestLevelHistogramMatchesHelper(t *testing.T) {
 	g := graph.RandomRegular(32, 6, 9)
-	pairs := graphPairsOf(g)
+	pairs := local.GraphPairs(g)
 	c := 128
 	palette := make([]int, c)
 	for i := range palette {

@@ -108,7 +108,7 @@ func Theory(c int, alpha float64) Params {
 // Practical returns small constants that drive every code path of the
 // algorithm on feasible graphs: β = 2, p = min(⌈√Δ̄⌉, 16), low thresholds,
 // deferral instead of assertion. The asymptotic structure is the paper's;
-// only the constants differ (see DESIGN.md, "Parameterization honesty").
+// only the constants differ (Theory has the paper's own).
 func Practical() Params {
 	return Params{
 		Beta: func(dbar, _ int) int { return 2 },

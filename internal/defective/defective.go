@@ -224,18 +224,7 @@ func Color(pairs [][2]int64, active []bool, beta int, initColors []int, initX in
 // ColorGraph applies Color to the edges of a graph: side keys are the
 // endpoint node IDs, so groups and degrees are exactly the paper's.
 func ColorGraph(g *graph.Graph, active []bool, beta int, run local.Engine) (*Result, error) {
-	return Color(GraphPairs(g), active, beta, nil, 0, run)
-}
-
-// GraphPairs returns the pair system of a graph's edges: item e occupies its
-// two endpoint node IDs.
-func GraphPairs(g *graph.Graph) [][2]int64 {
-	pairs := make([][2]int64, g.M())
-	for e := 0; e < g.M(); e++ {
-		u, v := g.Endpoints(graph.EdgeID(e))
-		pairs[e] = [2]int64{int64(u), int64(v)}
-	}
-	return pairs
+	return Color(local.GraphPairs(g), active, beta, nil, 0, run)
 }
 
 // MaxDefect computes the maximum defect of the given coloring over the

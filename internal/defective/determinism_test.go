@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/distec/distec/internal/graph"
+	"github.com/distec/distec/internal/local"
 )
 
 // TestColorDeterministic pins the rank computation restructure: activity
@@ -12,7 +13,7 @@ import (
 // the same instance must agree color-for-color.
 func TestColorDeterministic(t *testing.T) {
 	g := graph.RandomRegular(48, 12, 11)
-	pairs := GraphPairs(g)
+	pairs := local.GraphPairs(g)
 	active := make([]bool, g.M())
 	for e := range active {
 		active[e] = e%5 != 0
@@ -42,7 +43,7 @@ func TestColorDeterministic(t *testing.T) {
 // sharing a side never share both a group and a number there.
 func TestColorRanksMatchListOrder(t *testing.T) {
 	g := graph.RandomRegular(30, 8, 3)
-	pairs := GraphPairs(g)
+	pairs := local.GraphPairs(g)
 	res, err := Color(pairs, nil, 1, nil, 0, nil)
 	if err != nil {
 		t.Fatalf("Color: %v", err)

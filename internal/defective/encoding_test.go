@@ -61,7 +61,7 @@ func TestColorOnPairSystem(t *testing.T) {
 // correctness and must keep rounds small.
 func TestColorWithInitialColoring(t *testing.T) {
 	g := graph.RandomRegular(48, 6, 2)
-	pairs := GraphPairs(g)
+	pairs := local.GraphPairs(g)
 	// A proper coloring of the conflict system: edge IDs (X = m).
 	init := make([]int, g.M())
 	for i := range init {
@@ -79,7 +79,7 @@ func TestColorWithInitialColoring(t *testing.T) {
 
 func TestColorRejectsBadInitLength(t *testing.T) {
 	g := graph.Cycle(6)
-	if _, err := Color(GraphPairs(g), nil, 1, []int{1, 2}, 10, nil); err == nil {
+	if _, err := Color(local.GraphPairs(g), nil, 1, []int{1, 2}, 10, nil); err == nil {
 		t.Fatal("accepted wrong-length initColors")
 	}
 }

@@ -22,13 +22,7 @@ import (
 //
 // The returned slice maps EdgeID to chosen color, −1 for inactive edges.
 func SolveBase(in *Instance, initColors []int, initX int, run local.Engine) ([]int, local.Stats, error) {
-	g := in.G
-	pairs := make([][2]int64, g.M())
-	for e := 0; e < g.M(); e++ {
-		u, v := g.Endpoints(graph.EdgeID(e))
-		pairs[e] = [2]int64{int64(u), int64(v)}
-	}
-	return SolvePairs(pairs, in.Active, in.Lists, initColors, initX, run)
+	return SolvePairs(local.GraphPairs(in.G), in.Active, in.Lists, initColors, initX, run)
 }
 
 // greedyByClass is the per-edge protocol of the greedy phase: the edge whose

@@ -209,12 +209,18 @@ func PairConflict(pairs [][2]int64) *Topology {
 // endpoints); all round counts reported by the experiments are edge rounds,
 // and the node bound follows by this standard translation.
 func EdgeConflict(g *graph.Graph) *Topology {
+	return PairConflict(GraphPairs(g))
+}
+
+// GraphPairs returns the pair system of g's edges, the item list the
+// solvers run on: item e is edge e, occupying its two endpoint node IDs.
+func GraphPairs(g *graph.Graph) [][2]int64 {
 	pairs := make([][2]int64, g.M())
 	for e := 0; e < g.M(); e++ {
 		u, v := g.Endpoints(graph.EdgeID(e))
 		pairs[e] = [2]int64{int64(u), int64(v)}
 	}
-	return PairConflict(pairs)
+	return pairs
 }
 
 // MetaOf extracts the *EdgeMeta from a view of a pair-conflict topology.

@@ -139,7 +139,7 @@ func TestDiffRecordTornAndCorrupt(t *testing.T) {
 func TestLogDiffCompaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sess")
 	var met Metrics
-	opts := Options{DiffCompact: true, DiffMaxChain: 3, Metrics: &met}
+	opts := Options{DiffCompact: true, Metrics: &met}
 	snap := wideSnapshot(0, 120)
 	l := mustCreateLog(t, dir, snap, opts)
 
@@ -158,8 +158,8 @@ func TestLogDiffCompaction(t *testing.T) {
 		}
 	}
 
-	// Three small deltas ride the diff chain.
-	for i := 0; i < 3; i++ {
+	// diffMaxChain small deltas ride the diff chain.
+	for i := 0; i < diffMaxChain; i++ {
 		step(func(s *Snapshot) { s.Colors[i] = int32((int(s.Colors[i]) + 1) % 3) })
 		if got := met.diffCompacts.Load(); got != uint64(i+1) {
 			t.Fatalf("step %d: %d diff compactions", i, got)
@@ -182,23 +182,23 @@ func TestLogDiffCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Seq != 3 || len(replay) != 0 || info.Diffs != 3 {
+	if merged.Seq != diffMaxChain || len(replay) != 0 || info.Diffs != diffMaxChain {
 		t.Fatalf("merged seq=%d replay=%d diffs=%d", merged.Seq, len(replay), info.Diffs)
 	}
 	if fmt.Sprintf("%v", merged.Colors) != fmt.Sprintf("%v", state.Colors) {
 		t.Fatalf("merged colors diverge from the compacted state")
 	}
-	// The fourth compaction hits the chain bound: full rewrite, diff file
+	// The next compaction hits the chain bound: full rewrite, diff file
 	// retired.
 	step(func(s *Snapshot) { s.Colors[10] = 0 })
-	if met.diffCompacts.Load() != 3 {
+	if met.diffCompacts.Load() != diffMaxChain {
 		t.Fatalf("chain bound did not force a full rewrite")
 	}
 	if _, err := os.Stat(filepath.Join(dir, DiffFile)); !os.IsNotExist(err) {
 		t.Fatalf("diff file survived a full compaction: %v", err)
 	}
 	merged, _, _, err = ScanDir(dir)
-	if err != nil || merged.Seq != 4 {
+	if err != nil || merged.Seq != diffMaxChain+1 {
 		t.Fatalf("after full rewrite: seq=%d err=%v", merged.Seq, err)
 	}
 	// A delta touching most of the state is not worth a diff record.
@@ -207,7 +207,7 @@ func TestLogDiffCompaction(t *testing.T) {
 			s.Colors[i] = int32((int(s.Colors[i]) + 1) % 3)
 		}
 	})
-	if met.diffCompacts.Load() != 3 {
+	if met.diffCompacts.Load() != diffMaxChain {
 		t.Fatalf("whole-state delta still compacted differentially")
 	}
 	if err := l.Close(); err != nil {
@@ -220,11 +220,11 @@ func TestLogDiffCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Seq != 5 {
+	if merged.Seq != diffMaxChain+2 {
 		t.Fatalf("reopened at seq %d", merged.Seq)
 	}
-	seq = 5
-	state.Seq = 5
+	seq = diffMaxChain + 2
+	state.Seq = seq
 	step2 := func() {
 		seq++
 		if err := l2.Append(Record{Seq: seq, Updates: []Update{{Op: OpInsert, U: 0, V: 1}}}); err != nil {
@@ -238,12 +238,12 @@ func TestLogDiffCompaction(t *testing.T) {
 	}
 	l = l2
 	step2()
-	if met.diffCompacts.Load() != 4 {
+	if met.diffCompacts.Load() != diffMaxChain+1 {
 		t.Fatalf("diff chaining did not resume after reopen")
 	}
 	l2.Close()
 	merged, _, _, err = ScanDir(dir)
-	if err != nil || merged.Seq != 6 {
+	if err != nil || merged.Seq != diffMaxChain+3 {
 		t.Fatalf("final state: seq=%d err=%v", merged.Seq, err)
 	}
 }

@@ -29,11 +29,11 @@ const (
 // when Options.CompactBytes is zero.
 const DefaultCompactBytes = 1 << 20
 
-// DefaultDiffMaxChain is the differential-snapshot chain length past which
-// a compaction falls back to a full snapshot rewrite when
-// Options.DiffMaxChain is zero. Bounding the chain bounds both recovery's
-// merge work and the lost-space of superseded diff records.
-const DefaultDiffMaxChain = 8
+// diffMaxChain is the differential-snapshot chain length past which a
+// compaction falls back to a full snapshot rewrite. Bounding the chain
+// bounds both recovery's merge work and the lost-space of superseded
+// diff records.
+const diffMaxChain = 8
 
 // Options configures a Log.
 type Options struct {
@@ -49,12 +49,10 @@ type Options struct {
 	// DiffCompact enables differential compaction: when the delta since the
 	// last persisted state encodes to less than half the full snapshot, a
 	// compaction appends one diff record instead of rewriting the whole
-	// snapshot. Every DiffMaxChain'th compaction (and any compaction whose
+	// snapshot. Every diffMaxChain'th compaction (and any compaction whose
 	// delta is not small enough) falls back to a full rewrite, which also
 	// retires the diff file.
 	DiffCompact bool
-	// DiffMaxChain bounds the diff chain length (0: DefaultDiffMaxChain).
-	DiffMaxChain int
 	// FS, when set, routes the log's mutating filesystem operations (file
 	// creation, appends, fsyncs, renames, removals) through a test double;
 	// nil selects the real filesystem. Read paths always read the real
@@ -71,13 +69,6 @@ func (o Options) compactBytes() int64 {
 		return DefaultCompactBytes
 	}
 	return o.CompactBytes
-}
-
-func (o Options) diffMaxChain() int {
-	if o.DiffMaxChain <= 0 {
-		return DefaultDiffMaxChain
-	}
-	return o.DiffMaxChain
 }
 
 // Log is one session's durability state on disk: the snapshot file (plus
@@ -624,7 +615,7 @@ func (l *Log) finishCompaction(encodedSnap []byte) error {
 // torn diff append also falls back: the full rewrite retires the diff file,
 // healing the tear.
 func (l *Log) tryDiffCompaction(encodedSnap []byte) (bool, error) {
-	if l.diffChain >= l.opts.diffMaxChain() {
+	if l.diffChain >= diffMaxChain {
 		return false, nil
 	}
 	cur, err := ReadSnapshot(bytes.NewReader(encodedSnap))

@@ -92,7 +92,7 @@ func TestPoolRoutesMatchSequential(t *testing.T) {
 		{Workers: 1},                           // everything sequential (small topologies)
 		{Workers: 1, SmallJob: -1},             // force the sliced route
 		{Workers: 3, SmallJob: -1},             // force the fanout route
-		{Workers: 3, SmallJob: -1, Slice: 100}, // absurdly small slice still correct
+		{Workers: 1, SmallJob: -1, Slice: 100}, // absurdly small slice: one round per slice
 	}
 	for _, tp := range topologies {
 		want := make([]int, tp.N())
