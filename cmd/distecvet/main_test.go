@@ -35,7 +35,7 @@ func TestListGolden(t *testing.T) {
 		"ctxflow      enforces context discipline: ctx first param, no ctx struct fields, cancel called on all paths, no fresh roots in request-scoped code",
 		"determinism  flags nondeterminism sources (map-order-dependent writes, wall clock, global rand, multi-way select) in solver packages",
 		"goroleak     flags go statements whose goroutine reaches an infinite loop with no return, break, or Goexit on any path",
-		"hotpath      flags fmt, capturing closures, map allocation, fresh-slice append, and unguarded trace calls inside (or statically reachable from) //distec:hotpath functions",
+		"hotpath      flags fmt, capturing closures, map and channel allocation, fresh-slice append, and unguarded trace calls inside (or statically reachable from) //distec:hotpath functions",
 		"lockio       flags blocking I/O (file writes, fsync, os calls, journal hooks) reachable, directly or through static callees, while a mutex locked in the same function is held",
 		"lockorder    builds the module-wide mutex acquired-while-held graph across static call chains and reports cycles as deadlock candidates",
 		"metricnames  validates metric registration names, flags duplicates, and cross-checks the README metric catalog",

@@ -28,8 +28,9 @@
 //
 //	//distec:hotpath            marks a function as per-round/per-batch
 //	                            hot; the hotpath analyzer then checks its
-//	                            body (no fmt, closures, map allocations,
-//	                            fresh-slice appends, unguarded tracers).
+//	                            body (no fmt, closures, map or channel
+//	                            allocations, fresh-slice appends,
+//	                            unguarded tracers).
 //	//distec:nolint [names]     suppresses diagnostics on its line (or,
 //	                            alone on a line, the line below) — all
 //	                            analyzers when bare, else the named,

@@ -161,8 +161,13 @@ func (w *lockWalk) stmt(st ast.Stmt, held []mutexRef) []mutexRef {
 		if st.Init != nil {
 			held = w.stmt(st.Init, held)
 		}
+		w.calls(st.Tag, held)
 		w.clauses(st.Body, held)
 	case *ast.TypeSwitchStmt:
+		if st.Init != nil {
+			held = w.stmt(st.Init, held)
+		}
+		w.calls(st.Assign, held)
 		w.clauses(st.Body, held)
 	case *ast.SelectStmt:
 		w.clauses(st.Body, held)
@@ -174,13 +179,18 @@ func (w *lockWalk) stmt(st ast.Stmt, held []mutexRef) []mutexRef {
 	return held
 }
 
-// clauses walks each case of a switch or select from the same state.
+// clauses walks each case of a switch or select from the same state:
+// its expressions or comm statement, then its body.
 func (w *lockWalk) clauses(body *ast.BlockStmt, held []mutexRef) {
 	for _, c := range body.List {
 		switch c := c.(type) {
 		case *ast.CaseClause:
+			for _, e := range c.List {
+				w.calls(e, held)
+			}
 			w.stmts(c.Body, held)
 		case *ast.CommClause:
+			w.calls(c.Comm, held)
 			w.stmts(c.Body, held)
 		}
 	}

@@ -15,22 +15,23 @@ import (
 //   - fmt.* calls, unless the innermost enclosing block is a nested
 //     early-exit ending in return (the cold error-path shape);
 //   - closures that capture variables (each allocates per execution);
-//   - map allocations (literals or make), same cold-path exemption;
+//   - map allocations (literals or make) and channel allocations
+//     (make), same cold-path exemption;
 //   - append whose result is not assigned back to its own source
 //     (a fresh backing array per call instead of amortized reuse);
 //   - calls into the trace package not dominated by a nil check — the
 //     disabled-tracer cost model is one pointer test per round, which
 //     only holds when every emission sits behind a guard;
 //   - calls whose static callee (transitively, through the module call
-//     graph) formats with fmt or allocates a map on its own steady-state
-//     path — an allocation two calls below the marked function is the
-//     same bug as one inside it. Callees marked //distec:hotpath are
-//     exempt here (they are checked directly), as are callee sites
-//     carrying an in-place //distec:nolint hotpath.
+//     graph) formats with fmt or allocates a map or channel on its own
+//     steady-state path — an allocation two calls below the marked
+//     function is the same bug as one inside it. Callees marked
+//     //distec:hotpath are exempt here (they are checked directly), as
+//     are callee sites carrying an in-place //distec:nolint hotpath.
 func newHotPath() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpath",
-		Doc:  "flags fmt, capturing closures, map allocation, fresh-slice append, and unguarded trace calls inside (or statically reachable from) //distec:hotpath functions",
+		Doc:  "flags fmt, capturing closures, map and channel allocation, fresh-slice append, and unguarded trace calls inside (or statically reachable from) //distec:hotpath functions",
 	}
 	var sums *summary[*violation]
 	// A callee's fact is the first steady-state allocation on its own
@@ -78,17 +79,15 @@ func newHotPath() *Analyzer {
 }
 
 // steadyAlloc classifies n as one of the allocations a hot path must
-// keep off its steady state: an fmt call, a make of a map, or a map
-// literal. what names it for transitive findings and msg is the direct
-// finding; both are "" for anything else.
+// keep off its steady state: an fmt call, a make of a map or channel, or
+// a map literal. what names it for transitive findings and msg is the
+// direct finding; both are "" for anything else.
 func steadyAlloc(info *types.Info, n ast.Node) (what, msg string) {
-	isMap := func(e ast.Expr) bool {
-		tv, ok := info.Types[e]
-		if !ok || tv.Type == nil {
-			return false
+	underlying := func(e ast.Expr) types.Type {
+		if tv, ok := info.Types[e]; ok && tv.Type != nil {
+			return tv.Type.Underlying()
 		}
-		_, ok = tv.Type.Underlying().(*types.Map)
-		return ok
+		return nil
 	}
 	switch n := n.(type) {
 	case *ast.CallExpr:
@@ -97,12 +96,17 @@ func steadyAlloc(info *types.Info, n ast.Node) (what, msg string) {
 			return what, what + " in hot path: fmt formats through interfaces and allocates"
 		}
 		if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "make" {
-			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && isMap(n) {
-				return "map allocation", "map allocated in hot path: hoist it out of the per-round loop and reuse"
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
+				switch underlying(n).(type) {
+				case *types.Map:
+					return "map allocation", "map allocated in hot path: hoist it out of the per-round loop and reuse"
+				case *types.Chan:
+					return "channel allocation", "channel allocated in hot path: make it once, or only when a receiver waits"
+				}
 			}
 		}
 	case *ast.CompositeLit:
-		if isMap(n) {
+		if _, ok := underlying(n).(*types.Map); ok {
 			return "map literal", "map literal in hot path: hoist it out of the per-round loop and reuse"
 		}
 	}

@@ -10,6 +10,7 @@ import (
 type State struct {
 	span *trace.Span
 	buf  []int
+	wake chan struct{}
 }
 
 // Round is the per-round body, with one of everything the analyzer
@@ -25,4 +26,6 @@ func (s *State) Round(r int) {
 	_ = fresh
 	f := func() int { return r } // want "closure capturing r in hot path"
 	_ = f()
+	done := make(chan struct{}) // want "channel allocated in hot path"
+	close(done)
 }

@@ -13,6 +13,19 @@ func (s *State) note(r int) {
 	_ = Helper(r)
 }
 
+// Advance is marked; the channel it pays for is made one call down, the
+// shape of a wake-up channel renewed on every advance.
+//
+//distec:hotpath
+func (s *State) Advance() {
+	s.renew() // want "call to renew in hot path transitively reaches channel allocation"
+}
+
+func (s *State) renew() {
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
 // cycleA and cycleB recurse mutually: the callee summary must terminate.
 func cycleA(n int) int {
 	if n <= 0 {

@@ -121,17 +121,3 @@ func uniform(g *graph.Graph) *listcolor.Instance {
 	}
 	return listcolor.NewUniform(g, c)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

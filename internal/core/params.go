@@ -161,20 +161,6 @@ type Trace struct {
 	SweepDegrees []int
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // seq accumulates sequentially composed costs: rounds and messages add.
 func seq(a *local.Stats, b local.Stats) {
 	a.Rounds += b.Rounds

@@ -58,13 +58,6 @@ func pow64(r, k int) int {
 	return acc
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // bestStep returns the step minimizing the resulting color count q² for the
 // current color count m and conflict degree maxDeg, or ok=false when no step
 // makes progress (m is already at the fixpoint).
@@ -122,13 +115,6 @@ func Colors(X, maxDeg int) int {
 	}
 	last := plan[len(plan)-1]
 	return last.Q * last.Q
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // reducer is the per-entity protocol: len(plan) Linial rounds followed by

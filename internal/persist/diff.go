@@ -2,11 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 )
 
 // Differential snapshots: instead of rewriting the whole snapshot at every
@@ -15,10 +11,11 @@ import (
 // The effective snapshot is then snapshot ⊕ diffs (applied in order), and
 // the recovery contract becomes (snapshot ⊕ diffs) ⊕ seq-filtered WAL.
 //
-// Diff records use the WAL's CRC framing (u32 length | u32 CRC-32C |
-// payload), so the crash calculus is identical: a torn final diff record is
-// discarded, and because wal.prev is only removed after the diff record is
-// durable, the records it summarized are still replayable. Stale diff
+// Diff records are frames, written and read by the same code as WAL
+// records (u32 length | u32 CRC-32C | payload), so the crash calculus is
+// identical: a torn final diff record is discarded, and because wal.prev is
+// only removed after the diff record is durable, the records it summarized
+// are still replayable. Stale diff
 // records (seq at or below the snapshot's — the footprint of a crash
 // between a full compaction's snapshot rename and its diff-file removal)
 // are skipped exactly like stale WAL records.
@@ -31,7 +28,7 @@ import (
 // diffMagic opens every diff file; the trailing byte is the format version.
 var diffMagic = [8]byte{'D', 'E', 'C', 'D', 'I', 'F', 'F', 1}
 
-// diff payload wire format, inside the WAL-style record framing:
+// diff payload wire format, inside the record frame:
 //
 //	u64 seq | u32 livePalette | u32 prevM | u32 newM
 //	u32 nNew     | nNew × (u32 u, u32 v, u32 color, u8 active)
@@ -127,146 +124,71 @@ func encodedDiffSize(d *diff) int {
 	return recordHeaderBytes + diffPayloadFixed + diffNewBytes*len(d.newU) + 4 + diffChangedBytes*len(d.chID)
 }
 
-// appendDiffRecord encodes d onto buf in the WAL record framing and returns
-// the extended slice.
+// appendDiffRecord encodes d onto buf as one frame and returns the
+// extended slice.
 func appendDiffRecord(buf []byte, d *diff) []byte {
-	payloadLen := diffPayloadFixed + diffNewBytes*len(d.newU) + 4 + diffChangedBytes*len(d.chID)
+	le := binary.LittleEndian
 	start := len(buf)
-	need := start + recordHeaderBytes + payloadLen
-	if cap(buf) < need {
-		buf = append(buf, make([]byte, need-start)...)
-	} else {
-		buf = buf[:need]
-	}
-	payload := buf[start+recordHeaderBytes : need]
-	binary.LittleEndian.PutUint64(payload[0:], d.seq)
-	binary.LittleEndian.PutUint32(payload[8:], uint32(d.livePalette))
-	binary.LittleEndian.PutUint32(payload[12:], uint32(d.prevM))
-	binary.LittleEndian.PutUint32(payload[16:], uint32(d.newM))
-	binary.LittleEndian.PutUint32(payload[20:], uint32(len(d.newU)))
-	off := diffPayloadFixed
+	buf = le.AppendUint64(buf, 0) // frame header, sealed below
+	buf = le.AppendUint64(buf, d.seq)
+	buf = le.AppendUint32(buf, uint32(d.livePalette))
+	buf = le.AppendUint32(buf, uint32(d.prevM))
+	buf = le.AppendUint32(buf, uint32(d.newM))
+	buf = le.AppendUint32(buf, uint32(len(d.newU)))
 	for i := range d.newU {
-		binary.LittleEndian.PutUint32(payload[off:], uint32(d.newU[i]))
-		binary.LittleEndian.PutUint32(payload[off+4:], uint32(d.newV[i]))
-		binary.LittleEndian.PutUint32(payload[off+8:], uint32(d.newColors[i]))
-		payload[off+12] = 0
-		if d.newActive[i] {
-			payload[off+12] = 1
-		}
-		off += diffNewBytes
+		buf = le.AppendUint32(buf, uint32(d.newU[i]))
+		buf = le.AppendUint32(buf, uint32(d.newV[i]))
+		buf = appendColor(buf, d.newColors[i], d.newActive[i])
 	}
-	// changed-count sits after the new-edge section, so it is located by
-	// arithmetic on nNew rather than a second fixed offset
-	tail := payload[off:]
-	binary.LittleEndian.PutUint32(tail[0:], uint32(len(d.chID)))
-	off2 := 4
+	buf = le.AppendUint32(buf, uint32(len(d.chID)))
 	for i := range d.chID {
-		binary.LittleEndian.PutUint32(tail[off2:], uint32(d.chID[i]))
-		binary.LittleEndian.PutUint32(tail[off2+4:], uint32(d.chColors[i]))
-		tail[off2+8] = 0
-		if d.chActive[i] {
-			tail[off2+8] = 1
-		}
-		off2 += diffChangedBytes
+		buf = le.AppendUint32(buf, uint32(d.chID[i]))
+		buf = appendColor(buf, d.chColors[i], d.chActive[i])
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
-	return buf
+	return sealFrame(buf, start)
 }
 
-// readDiffRecord parses one framed diff record from r: errTorn for an
-// incomplete or checksum-failing record, io.EOF at a clean end.
-func readDiffRecord(r io.Reader) (*diff, error) {
-	var header [recordHeaderBytes]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, errTorn
+// appendColor encodes one edge's color and overlay bit.
+func appendColor(buf []byte, color int32, active bool) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(color))
+	if active {
+		return append(buf, 1)
 	}
-	payloadLen := binary.LittleEndian.Uint32(header[0:])
-	wantCRC := binary.LittleEndian.Uint32(header[4:])
-	if payloadLen < diffPayloadFixed+4 || payloadLen > maxRecordBytes {
-		return nil, errTorn
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, errTorn
-	}
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
+	return append(buf, 0)
+}
+
+// decodeDiff parses one diff record payload. Counts that disagree with the
+// payload's length are a tear; edge counts beyond MaxSnapshotEdges are an
+// error.
+func decodeDiff(p []byte) (*diff, error) {
+	le := binary.LittleEndian
+	if len(p) < diffPayloadFixed+4 {
 		return nil, errTorn
 	}
 	d := &diff{
-		seq:         binary.LittleEndian.Uint64(payload[0:]),
-		livePalette: int(binary.LittleEndian.Uint32(payload[8:])),
-		prevM:       int(binary.LittleEndian.Uint32(payload[12:])),
-		newM:        int(binary.LittleEndian.Uint32(payload[16:])),
+		seq:         le.Uint64(p),
+		livePalette: int(le.Uint32(p[8:])),
+		prevM:       int(le.Uint32(p[12:])),
+		newM:        int(le.Uint32(p[16:])),
 	}
-	nNew := binary.LittleEndian.Uint32(payload[20:])
 	if d.prevM > MaxSnapshotEdges || d.newM > MaxSnapshotEdges || d.livePalette > 1<<31 {
 		return nil, fmt.Errorf("persist: diff record bounds exceeded (prevM=%d newM=%d)", d.prevM, d.newM)
 	}
-	need := uint64(diffPayloadFixed) + uint64(nNew)*diffNewBytes + 4
-	if need > uint64(payloadLen) {
+	// The changed-edge count sits after the variable new-edge section.
+	mid := uint64(diffPayloadFixed) + uint64(le.Uint32(p[20:]))*diffNewBytes
+	if mid+4 > uint64(len(p)) || mid+4+uint64(le.Uint32(p[mid:]))*diffChangedBytes != uint64(len(p)) {
 		return nil, errTorn
 	}
-	off := diffPayloadFixed
-	for i := uint32(0); i < nNew; i++ {
-		d.newU = append(d.newU, int32(binary.LittleEndian.Uint32(payload[off:])))
-		d.newV = append(d.newV, int32(binary.LittleEndian.Uint32(payload[off+4:])))
-		d.newColors = append(d.newColors, int32(binary.LittleEndian.Uint32(payload[off+8:])))
-		d.newActive = append(d.newActive, payload[off+12] != 0)
-		off += diffNewBytes
+	for e := p[diffPayloadFixed:mid]; len(e) > 0; e = e[diffNewBytes:] {
+		d.newU = append(d.newU, int32(le.Uint32(e)))
+		d.newV = append(d.newV, int32(le.Uint32(e[4:])))
+		d.newColors = append(d.newColors, int32(le.Uint32(e[8:])))
+		d.newActive = append(d.newActive, e[12] != 0)
 	}
-	nChanged := binary.LittleEndian.Uint32(payload[off:])
-	off += 4
-	if uint64(off)+uint64(nChanged)*diffChangedBytes != uint64(payloadLen) {
-		return nil, errTorn
-	}
-	for i := uint32(0); i < nChanged; i++ {
-		d.chID = append(d.chID, int32(binary.LittleEndian.Uint32(payload[off:])))
-		d.chColors = append(d.chColors, int32(binary.LittleEndian.Uint32(payload[off+4:])))
-		d.chActive = append(d.chActive, payload[off+8] != 0)
-		off += diffChangedBytes
+	for e := p[mid+4:]; len(e) > 0; e = e[diffChangedBytes:] {
+		d.chID = append(d.chID, int32(le.Uint32(e)))
+		d.chColors = append(d.chColors, int32(le.Uint32(e[4:])))
+		d.chActive = append(d.chActive, e[8] != 0)
 	}
 	return d, nil
-}
-
-// diffScan is one diff file's parse: the records of the valid prefix, and
-// clean=false when a torn final record was discarded.
-type diffScan struct {
-	diffs []*diff
-	clean bool
-}
-
-// readDiffFile parses a diff file; os.ErrNotExist passes through (the
-// normal state — most sessions never compact differentially).
-func readDiffFile(path string) (diffScan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return diffScan{}, err
-	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return diffScan{clean: false}, nil // crash before the magic landed
-	}
-	if magic != diffMagic {
-		return diffScan{}, fmt.Errorf("persist: %s: bad diff magic %q", path, magic[:])
-	}
-	sc := diffScan{clean: true}
-	for {
-		d, err := readDiffRecord(f)
-		if err == io.EOF {
-			return sc, nil
-		}
-		if errors.Is(err, errTorn) {
-			sc.clean = false
-			return sc, nil
-		}
-		if err != nil {
-			return diffScan{}, fmt.Errorf("persist: %s: %w", path, err)
-		}
-		sc.diffs = append(sc.diffs, d)
-	}
 }

@@ -100,20 +100,20 @@ func TestDiffRecordTornAndCorrupt(t *testing.T) {
 		}
 	}
 	write(buf)
-	sc, err := readDiffFile(path)
-	if err != nil || !sc.clean || len(sc.diffs) != 2 {
-		t.Fatalf("full read: clean=%v diffs=%d err=%v", sc.clean, len(sc.diffs), err)
+	sc, err := scanFile(path, diffMagic, decodeDiff)
+	if err != nil || !sc.clean || len(sc.items) != 2 {
+		t.Fatalf("full read: clean=%v diffs=%d err=%v", sc.clean, len(sc.items), err)
 	}
 	// Any truncation inside the second record keeps the first and reports
 	// the tear.
 	for cut := mid + 1; cut < len(buf); cut++ {
 		write(buf[:cut])
-		sc, err := readDiffFile(path)
+		sc, err := scanFile(path, diffMagic, decodeDiff)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if sc.clean || len(sc.diffs) != 1 || sc.diffs[0].seq != 2 {
-			t.Fatalf("cut %d: clean=%v diffs=%d", cut, sc.clean, len(sc.diffs))
+		if sc.clean || len(sc.items) != 1 || sc.items[0].seq != 2 {
+			t.Fatalf("cut %d: clean=%v diffs=%d", cut, sc.clean, len(sc.items))
 		}
 	}
 	// A flipped byte inside a record's payload or frame kills that record.
@@ -121,12 +121,12 @@ func TestDiffRecordTornAndCorrupt(t *testing.T) {
 		bad := append([]byte(nil), buf...)
 		bad[i] ^= 0x10
 		write(bad)
-		sc, err := readDiffFile(path)
+		sc, err := scanFile(path, diffMagic, decodeDiff)
 		if err != nil {
 			continue // bounds violation detected loudly — fine
 		}
-		if sc.clean && len(sc.diffs) == 2 &&
-			fmt.Sprintf("%+v %+v", sc.diffs[0], sc.diffs[1]) == fmt.Sprintf("%+v %+v", d1, d2) {
+		if sc.clean && len(sc.items) == 2 &&
+			fmt.Sprintf("%+v %+v", sc.items[0], sc.items[1]) == fmt.Sprintf("%+v %+v", d1, d2) {
 			t.Fatalf("flip %d passed unnoticed", i)
 		}
 	}

@@ -43,7 +43,7 @@ func scriptSnapshot(seq uint64) *persist.Snapshot {
 // inserts edge (seq, seq+1); a compaction covering 1..scriptCompactAt runs
 // mid-stream, exercising rotation, snapshot rewrite (or diff append), and
 // retirement under fault.
-func runScript(dir string, fsys persist.FS, diffCompact bool) uint64 {
+func runScript(t *testing.T, dir string, fsys persist.FS, diffCompact bool) uint64 {
 	opts := persist.Options{Fsync: true, FS: fsys, DiffCompact: diffCompact}
 	l, err := persist.CreateLog(dir, func(w io.Writer) error {
 		return persist.WriteSnapshot(w, scriptSnapshot(0))
@@ -66,9 +66,15 @@ func runScript(dir string, fsys persist.FS, diffCompact bool) uint64 {
 			if err := persist.WriteSnapshot(&buf, scriptSnapshot(seq)); err != nil {
 				return acked
 			}
-			if err := l.Compact(buf.Bytes()); err != nil {
+			if cerr := l.Compact(buf.Bytes()); cerr != nil {
 				// A failed compaction poisons the log: later appends fail and
 				// stay unacknowledged. Everything acked so far must survive.
+				next := persist.Record{Seq: seq + 1, Updates: []persist.Update{
+					{Op: persist.OpInsert, U: int32(seq + 1), V: int32(seq + 2)},
+				}}
+				if err := l.Append(next); err == nil {
+					t.Errorf("append after a failed compaction (%v) succeeded", cerr)
+				}
 				return acked
 			}
 		}
@@ -144,7 +150,7 @@ func TestSingleFaultNeverLosesAckedBatch(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			probe := errfs.New()
 			probeDir := filepath.Join(t.TempDir(), "probe")
-			if acked := runScript(probeDir, probe, mode.diff); acked != scriptBatches {
+			if acked := runScript(t, probeDir, probe, mode.diff); acked != scriptBatches {
 				t.Fatalf("fault-free probe acked %d of %d batches", acked, scriptBatches)
 			}
 			verifyRecovered(t, probeDir, scriptBatches, "probe")
@@ -157,7 +163,7 @@ func TestSingleFaultNeverLosesAckedBatch(t *testing.T) {
 			check := func(label string, fsys *errfs.FS) {
 				t.Helper()
 				dir := filepath.Join(base, label)
-				acked := runScript(dir, fsys, mode.diff)
+				acked := runScript(t, dir, fsys, mode.diff)
 				if fsys.Fired() == "" {
 					t.Fatalf("%s: fault never fired", label)
 				}

@@ -13,16 +13,14 @@ import (
 
 // File names inside a session directory. SnapshotFile and WALFile are the
 // durable pair; DiffFile holds differential snapshots appended between full
-// snapshot rewrites; the others are transient compaction state (a stale tmp
-// is removed on open, a leftover wal.prev is merged).
+// snapshot rewrites; wal.prev is transient compaction state (a leftover one
+// is merged on open). The three durable files are replaced whole through a
+// name.tmp file (Log.commit); a stale tmp is removed on open.
 const (
-	SnapshotFile    = "snapshot"
-	snapshotTmpFile = "snapshot.tmp"
-	WALFile         = "wal"
-	walPrevFile     = "wal.prev"
-	walTmpFile      = "wal.tmp"
-	DiffFile        = "diff"
-	diffTmpFile     = "diff.tmp"
+	SnapshotFile = "snapshot"
+	WALFile      = "wal"
+	walPrevFile  = "wal.prev"
+	DiffFile     = "diff"
 )
 
 // DefaultCompactBytes is the WAL size past which a compaction is suggested
@@ -74,56 +72,62 @@ func (o Options) compactBytes() int64 {
 // Log is one session's durability state on disk: the snapshot file (plus
 // any differential-snapshot chain) and the append-only WAL. Appends are
 // serialized internally; compaction can run in the background
-// (CompactAsync) with only its rotation step synchronous.
+// (CompactAsync) with only its rotation step synchronous. Compactions are
+// serialized too: one that starts while the previous one is still
+// finishing waits for it.
 type Log struct {
 	dir  string
 	opts Options
 	fsys FS
 
-	mu         sync.Mutex
-	wal        File
-	walSize    int64
-	enc        []byte // append scratch, reused across batches
-	compacting bool
+	// compactMu is held from a compaction's rotate to the end of its
+	// finish, which may run on the background goroutine CompactAsync
+	// starts. The next rotate, and Close, wait on it.
+	compactMu sync.Mutex
+
+	mu      sync.Mutex
+	wal     File
+	walSize int64
+	enc     []byte // append scratch, reused across batches
 	// poisoned is the first unrecoverable write failure (a failed or
-	// partial append, a failed background compaction). It fails every later
-	// append loudly: after a partial record, silently appending more would
-	// bury acknowledged batches behind a mid-log tear that recovery must
-	// treat as the end of the log.
+	// partial append, a failed compaction). It fails every later append
+	// loudly: after a partial record, silently appending more would bury
+	// acknowledged batches behind a mid-log tear that recovery must treat
+	// as the end of the log.
 	poisoned error
 	closed   bool
 	// head is the highest sequence number durably appended (or covered by
-	// the snapshot at open); headC is closed and replaced on every advance,
-	// waking WaitHead long-polls.
+	// the snapshot at open). headC is made by a WaitHead that has to block
+	// and closed and cleared by the next advance, so an append no one waits
+	// on allocates nothing.
 	head  uint64
 	headC chan struct{}
-	bg    sync.WaitGroup
 
-	// Differential-compaction state, touched only while a compaction is in
-	// flight (compactions are serialized by the compacting flag) or during
-	// construction: the parsed state as of the last compaction point
-	// (lazily loaded from disk), the number of live diff records, and the
-	// diff file's size.
+	// Differential-compaction state, touched only under compactMu or during
+	// construction: the parsed state as of the last compaction point (nil
+	// until a diff compaction loads it from disk), the number of live diff
+	// records, and the diff file's size.
 	base      *Snapshot
 	diffChain int
 	diffSize  int64
-}
-
-func newLog(dir string, opts Options) *Log {
-	return &Log{dir: dir, opts: opts, fsys: opts.fs(), headC: make(chan struct{})}
 }
 
 // CreateLog initializes dir (created if needed) with the snapshot written
 // by writeSnap and an empty WAL, and returns the log ready for appends. If
 // the snapshot covers a nonzero sequence number, follow with SetHead.
 func CreateLog(dir string, writeSnap func(io.Writer) error, opts Options) (*Log, error) {
+	var snap bytes.Buffer
+	if err := writeSnap(&snap); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	l := newLog(dir, opts)
-	if err := l.writeSnapshotFile(writeSnap); err != nil {
+	l := &Log{dir: dir, opts: opts, fsys: opts.fs()}
+	if err := l.commit(SnapshotFile, snap.Bytes()); err != nil {
 		return nil, err
 	}
+	opts.Metrics.countSnapshot()
 	if err := l.resetWAL(nil); err != nil {
 		return nil, err
 	}
@@ -162,71 +166,30 @@ func ScanDir(dir string) (*Snapshot, []Record, ScanInfo, error) {
 // scanDirFull is ScanDir plus the surviving diff records, which OpenLog
 // needs to repair the diff file.
 func scanDirFull(dir string) (*Snapshot, []*diff, []Record, ScanInfo, error) {
-	var info ScanInfo
-	f, err := os.Open(filepath.Join(dir, SnapshotFile))
+	snap, live, diffs, err := loadBase(dir)
 	if err != nil {
-		return nil, nil, nil, info, fmt.Errorf("persist: %w", err)
+		return nil, nil, nil, ScanInfo{}, err
 	}
-	snap, err := ReadSnapshot(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, nil, info, err
-	}
-	// Merge the differential-snapshot chain first: the effective snapshot
-	// is base ⊕ diffs, and the WAL's seq filter keys off the merged seq.
-	// Diff records at or below the base's seq are compaction leftovers
-	// (a crash between a full compaction's snapshot rename and diff-file
-	// removal) and are skipped like stale WAL records.
-	var live []*diff
-	if sc, err := readDiffFile(filepath.Join(dir, DiffFile)); err == nil {
-		info.TornDiff = !sc.clean
-		for _, d := range sc.diffs {
-			if d.seq <= snap.Seq {
-				info.StaleDiffs++
-				continue
-			}
-			if err := applyDiff(snap, d); err != nil {
-				return nil, nil, nil, info, err
-			}
-			live = append(live, d)
-		}
-		info.Diffs = len(live)
-		if fi, err := os.Stat(filepath.Join(dir, DiffFile)); err == nil {
-			info.DiffBytes = fi.Size()
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil, info, err
-	}
+	info := ScanInfo{Diffs: len(live), StaleDiffs: len(diffs.items) - len(live), TornDiff: !diffs.clean, DiffBytes: diffs.size}
 	// wal.prev (if an async compaction was cut down mid-flight) strictly
 	// precedes wal: rotation creates the fresh wal only after wal.prev is
 	// complete, so the prev file can only hold a torn tail if no later
-	// records exist at all.
-	var recs []Record
-	prevClean := true
-	if prev, err := readWALFile(filepath.Join(dir, walPrevFile)); err == nil {
-		recs, prevClean = prev.records, prev.clean
-		if fi, err := os.Stat(filepath.Join(dir, walPrevFile)); err == nil {
-			info.PrevBytes = fi.Size()
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	// records exist at all. A missing wal (crash between a rotation's
+	// rename and the fresh file) holds nothing and tears nothing.
+	prev, err := scanFile(filepath.Join(dir, walPrevFile), walMagic, decodeRecord)
+	if err != nil {
 		return nil, nil, nil, info, err
 	}
-	cur, err := readWALFile(filepath.Join(dir, WALFile))
-	if errors.Is(err, os.ErrNotExist) {
-		// A missing WAL (crash between a rotation's rename and the fresh
-		// file) holds nothing and tears nothing.
-		cur = walScan{clean: true}
-	} else if err != nil {
+	cur, err := scanFile(filepath.Join(dir, WALFile), walMagic, decodeRecord)
+	if err != nil {
 		return nil, nil, nil, info, err
 	}
-	if fi, err := os.Stat(filepath.Join(dir, WALFile)); err == nil {
-		info.WALBytes = fi.Size()
+	info.PrevBytes, info.WALBytes = prev.size, cur.size
+	if !prev.clean && len(cur.items) > 0 {
+		return nil, nil, nil, info, fmt.Errorf("persist: wal.prev torn at seq %d yet wal holds later records", lastSeq(prev.items))
 	}
-	if !prevClean && len(cur.records) > 0 {
-		return nil, nil, nil, info, fmt.Errorf("persist: wal.prev torn at seq %d yet wal holds later records", lastSeq(recs))
-	}
-	info.TornTail = !prevClean || !cur.clean
-	recs = append(recs, cur.records...)
+	info.TornTail = !prev.clean || !cur.clean
+	recs := append(prev.items, cur.items...)
 	// Keep the records beyond the snapshot; everything they skip must chain
 	// contiguously from it (a gap means lost records, not a clean tear).
 	replay := recs[:0]
@@ -246,6 +209,40 @@ func scanDirFull(dir string) (*Snapshot, []*diff, []Record, ScanInfo, error) {
 	return snap, live, replay, info, nil
 }
 
+// loadBase reads dir's snapshot and merges its diff chain over it: the
+// state as of the last compaction point, without the WAL — what recovery
+// replays the WAL over and what differential compaction diffs against. It
+// also returns the live diffs and the diff file's scan. Diff records at or
+// below the snapshot's seq are compaction leftovers (a crash between a full
+// compaction's snapshot rename and its diff-file removal) and are skipped
+// like stale WAL records.
+func loadBase(dir string) (*Snapshot, []*diff, fileScan[*diff], error) {
+	var diffs fileScan[*diff]
+	f, err := os.Open(filepath.Join(dir, SnapshotFile))
+	if err != nil {
+		return nil, nil, diffs, fmt.Errorf("persist: %w", err)
+	}
+	snap, err := ReadSnapshot(f)
+	f.Close()
+	if err == nil {
+		diffs, err = scanFile(filepath.Join(dir, DiffFile), diffMagic, decodeDiff)
+	}
+	if err != nil {
+		return nil, nil, diffs, err
+	}
+	var live []*diff
+	for _, d := range diffs.items {
+		if d.seq <= snap.Seq {
+			continue
+		}
+		if err := applyDiff(snap, d); err != nil {
+			return nil, nil, diffs, err
+		}
+		live = append(live, d)
+	}
+	return snap, live, diffs, nil
+}
+
 // OpenLog recovers dir: it parses the snapshot, merges the differential
 // chain and any interrupted compaction's wal.prev with the current WAL,
 // discards torn tails, rewrites the WAL (and, when damaged, the diff file)
@@ -254,10 +251,10 @@ func scanDirFull(dir string) (*Snapshot, []*diff, []Record, ScanInfo, error) {
 // the records with sequence numbers beyond the snapshot's, contiguous and
 // in order.
 func OpenLog(dir string, opts Options) (*Log, *Snapshot, []Record, error) {
-	l := newLog(dir, opts)
-	l.fsys.Remove(filepath.Join(dir, snapshotTmpFile)) // stray tmp from a crashed compaction
-	l.fsys.Remove(filepath.Join(dir, walTmpFile))      // stray tmp from a crashed open
-	l.fsys.Remove(filepath.Join(dir, diffTmpFile))     // stray tmp from a crashed diff repair
+	l := &Log{dir: dir, opts: opts, fsys: opts.fs()}
+	for _, name := range []string{SnapshotFile, WALFile, DiffFile} {
+		l.fsys.Remove(filepath.Join(dir, name+".tmp")) // stray tmp from a crashed commit
+	}
 	snap, diffs, replay, info, err := scanDirFull(dir)
 	if err != nil {
 		return nil, nil, nil, err
@@ -269,46 +266,17 @@ func OpenLog(dir string, opts Options) (*Log, *Snapshot, []Record, error) {
 		return nil, nil, nil, err
 	}
 	l.fsys.Remove(filepath.Join(dir, walPrevFile))
+	l.diffChain, l.diffSize = len(diffs), info.DiffBytes
 	if info.TornDiff || info.StaleDiffs > 0 || (info.DiffBytes > 0 && info.Diffs == 0) {
 		if err := l.resetDiff(diffs); err != nil {
 			return nil, nil, nil, err
 		}
-	} else {
-		l.diffChain = len(diffs)
-		l.diffSize = info.DiffBytes
 	}
 	if opts.Fsync {
 		syncDir(dir)
 	}
-	l.head = snap.Seq
-	if s := lastSeq(replay); s > l.head {
-		l.head = s
-	}
+	l.head = max(snap.Seq, lastSeq(replay))
 	return l, snap, replay, nil
-}
-
-type walScan struct {
-	records []Record
-	clean   bool
-}
-
-func readWALFile(path string) (walScan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return walScan{}, err
-	}
-	defer f.Close()
-	if err := checkWALMagic(f); err != nil {
-		if errors.Is(err, errTorn) {
-			return walScan{clean: false}, nil // crash before the magic landed
-		}
-		return walScan{}, fmt.Errorf("persist: %s: %w", path, err)
-	}
-	recs, clean, err := scanWAL(f)
-	if err != nil {
-		return walScan{}, fmt.Errorf("persist: %s: %w", path, err)
-	}
-	return walScan{records: recs, clean: clean}, nil
 }
 
 func lastSeq(recs []Record) uint64 {
@@ -318,29 +286,21 @@ func lastSeq(recs []Record) uint64 {
 	return recs[len(recs)-1].Seq
 }
 
-// resetWAL replaces the WAL with one holding exactly recs, atomically via
-// tmp+rename, and leaves l.wal open for appends. Caller must not hold l.mu
-// with appends in flight (used only at construction).
+// resetWAL replaces the WAL with one holding exactly recs (through commit)
+// and leaves l.wal open on it for appends. It runs at construction, and
+// under l.mu in a rotation.
 func (l *Log) resetWAL(recs []Record) error {
 	if l.wal != nil {
 		l.wal.Close()
 	}
-	path := filepath.Join(l.dir, WALFile)
-	tmp := filepath.Join(l.dir, walTmpFile)
 	buf := walMagic[:]
 	for _, rec := range recs {
 		buf = appendRecord(buf, rec)
 	}
-	if err := writeFileSync(l.fsys, tmp, buf, l.opts.Fsync); err != nil {
+	if err := l.commit(WALFile, buf); err != nil {
 		return err
 	}
-	if err := l.fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if l.opts.Fsync {
-		syncDir(l.dir)
-	}
-	f, err := l.fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := l.fsys.OpenFile(filepath.Join(l.dir, WALFile), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
@@ -348,30 +308,56 @@ func (l *Log) resetWAL(recs []Record) error {
 	return nil
 }
 
-// resetDiff rewrites the diff file to exactly the surviving diff records
-// (removing it when none survive), atomically via tmp+rename. Used only at
-// construction, like resetWAL.
+// resetDiff replaces the diff file with one holding exactly diffs (through
+// commit), or removes it when there are none: at open, to repair a torn or
+// stale chain, and after a full compaction, to retire the chain the new
+// snapshot covers.
 func (l *Log) resetDiff(diffs []*diff) error {
-	path := filepath.Join(l.dir, DiffFile)
+	l.diffChain, l.diffSize = 0, 0
 	if len(diffs) == 0 {
-		if err := l.fsys.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := l.fsys.Remove(filepath.Join(l.dir, DiffFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("persist: %w", err)
 		}
-		l.diffChain, l.diffSize = 0, 0
 		return nil
 	}
 	buf := diffMagic[:]
 	for _, d := range diffs {
 		buf = appendDiffRecord(buf, d)
 	}
-	tmp := filepath.Join(l.dir, diffTmpFile)
-	if err := writeFileSync(l.fsys, tmp, buf, l.opts.Fsync); err != nil {
+	if err := l.commit(DiffFile, buf); err != nil {
 		return err
 	}
-	if err := l.fsys.Rename(tmp, path); err != nil {
+	l.diffChain, l.diffSize = len(diffs), int64(len(buf))
+	return nil
+}
+
+// commit replaces the file name in the log's directory with data: it
+// writes name.tmp, renames it over name, and in Fsync mode fsyncs the tmp
+// before the rename and the directory after it. Until the rename the old
+// file stays intact; a tmp left by a crash is removed at the next open.
+func (l *Log) commit(name string, data []byte) error {
+	path := filepath.Join(l.dir, name)
+	tmp := path + ".tmp"
+	f, err := l.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	l.diffChain, l.diffSize = len(diffs), int64(len(buf))
+	_, err = f.Write(data)
+	if err == nil && l.opts.Fsync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = l.fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if l.opts.Fsync {
+		syncDir(l.dir)
+	}
 	return nil
 }
 
@@ -385,11 +371,8 @@ func (l *Log) resetDiff(diffs []*diff) error {
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("persist: log closed")
-	}
-	if l.poisoned != nil {
-		return fmt.Errorf("persist: log poisoned: %w", l.poisoned)
+	if err := l.writableLocked(); err != nil {
+		return err
 	}
 	if size := recordHeaderBytes + recordPayloadFixed + updateBytes*len(rec.Updates); size > maxRecordBytes {
 		// An oversized record would be written whole yet rejected by the
@@ -426,9 +409,24 @@ func (l *Log) Append(rec Record) error {
 	return nil
 }
 
+// writableLocked is the error a write to a closed or poisoned log
+// reports, nil otherwise.
+func (l *Log) writableLocked() error {
+	if l.closed {
+		return fmt.Errorf("persist: log closed")
+	}
+	if l.poisoned != nil {
+		return fmt.Errorf("persist: log poisoned: %w", l.poisoned)
+	}
+	return nil
+}
+
+// broadcastHeadLocked wakes the WaitHead long-polls, if any wait.
 func (l *Log) broadcastHeadLocked() {
-	close(l.headC)
-	l.headC = make(chan struct{})
+	if l.headC != nil {
+		close(l.headC)
+		l.headC = nil
+	}
 }
 
 // Head returns the highest sequence number the log has durably appended
@@ -458,6 +456,9 @@ func (l *Log) SetHead(seq uint64) {
 func (l *Log) WaitHead(ctx context.Context, after uint64) uint64 {
 	l.mu.Lock()
 	for l.head <= after && !l.closed && l.poisoned == nil && ctx.Err() == nil {
+		if l.headC == nil {
+			l.headC = make(chan struct{})
+		}
 		c := l.headC
 		l.mu.Unlock()
 		select {
@@ -482,11 +483,13 @@ func (l *Log) WALSize() int64 {
 func (l *Log) Dir() string { return l.dir }
 
 // NeedsCompaction reports whether the WAL has outgrown the compaction
-// threshold and no compaction is already in flight.
+// threshold on a log that is neither closed nor poisoned. The WAL's size
+// alone decides: a compaction still finishing hides nothing, since the next
+// one waits for it.
 func (l *Log) NeedsCompaction() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return !l.compacting && l.poisoned == nil && !l.closed && l.walSize >= l.opts.compactBytes()
+	return l.poisoned == nil && !l.closed && l.walSize >= l.opts.compactBytes()
 }
 
 // Compact persists the state encodedSnap (a WriteSnapshot-encoded state
@@ -494,109 +497,95 @@ func (l *Log) NeedsCompaction() bool {
 // synchronously — as a full snapshot rewrite, or as one appended diff
 // record when Options.DiffCompact is set and the delta is small. The caller
 // guarantees no concurrent Append (the distec journal hook runs under the
-// session lock, which serializes both).
+// session lock, which serializes both). A failed compaction poisons the
+// log.
 func (l *Log) Compact(encodedSnap []byte) error {
 	if err := l.rotate(); err != nil {
 		return err
 	}
-	err := l.finishCompaction(encodedSnap)
-	l.opts.Metrics.countCompaction(err)
-	l.mu.Lock()
-	l.compacting = false
-	if err != nil && l.poisoned == nil {
-		l.poisoned = err
-	}
-	l.mu.Unlock()
-	return err
+	return l.finish(encodedSnap)
 }
 
-// CompactAsync is Compact with only the rotation step synchronous: the
-// snapshot write and old-WAL removal run in the background (serialized with
-// Close). A background failure poisons the log — the next Append reports it.
+// CompactAsync is Compact with only the rotation synchronous: finish runs
+// in the background, and a background failure poisons the log — the next
+// Append reports it.
 func (l *Log) CompactAsync(encodedSnap []byte) error {
 	if err := l.rotate(); err != nil {
 		return err
 	}
-	l.bg.Add(1)
-	go func() {
-		defer l.bg.Done()
-		err := l.finishCompaction(encodedSnap)
-		l.opts.Metrics.countCompaction(err)
-		l.mu.Lock()
-		l.compacting = false
-		if err != nil && l.poisoned == nil {
-			l.poisoned = err
-		}
-		l.mu.Unlock()
-	}()
+	go l.finish(encodedSnap)
 	return nil
 }
 
-// rotate moves the live WAL aside (wal → wal.prev) and opens a fresh one,
-// marking a compaction in flight.
+// rotate starts a compaction: it takes compactMu, waiting for the previous
+// compaction to finish, then moves the live WAL aside (wal → wal.prev) and
+// opens a fresh one. On success compactMu stays held until finish.
 func (l *Log) rotate() error {
+	l.compactMu.Lock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("persist: log closed")
-	}
-	if l.compacting {
-		return fmt.Errorf("persist: compaction already in flight")
-	}
-	if l.poisoned != nil {
-		return fmt.Errorf("persist: log poisoned: %w", l.poisoned)
+	if err := l.writableLocked(); err != nil {
+		l.compactMu.Unlock()
+		return err
 	}
 	// Rotation swaps files under l.mu on purpose: no Append may land
 	// between retiring the old WAL and opening the fresh one, or it would
 	// be lost to both. Rotation is rare (one per compaction) and brief.
 	//distec:nolint lockio
-	l.wal.Close()
-	//distec:nolint lockio
-	if err := l.fsys.Rename(filepath.Join(l.dir, WALFile), filepath.Join(l.dir, walPrevFile)); err != nil {
-		return fmt.Errorf("persist: %w", err)
+	err := l.fsys.Rename(filepath.Join(l.dir, WALFile), filepath.Join(l.dir, walPrevFile))
+	if err == nil {
+		//distec:nolint lockio
+		err = l.resetWAL(nil)
 	}
-	path := filepath.Join(l.dir, WALFile)
-	//distec:nolint lockio
-	if err := writeFileSync(l.fsys, path, walMagic[:], l.opts.Fsync); err != nil {
-		return err
-	}
-	//distec:nolint lockio
-	f, err := l.fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("persist: %w", err)
+		l.poisoned = fmt.Errorf("WAL rotation: %w", err)
+		l.opts.Metrics.countCompaction(l.poisoned)
+		l.compactMu.Unlock()
+		return fmt.Errorf("persist: %w", l.poisoned)
 	}
-	l.wal, l.walSize = f, int64(len(walMagic))
-	l.compacting = true
 	return nil
 }
 
-// finishCompaction lands the new state — an appended diff record when
-// differential compaction applies, a full snapshot rewrite otherwise — and
-// removes the retired WAL. If it fails partway, recovery still works: the
-// old state plus wal.prev plus the live WAL replay to the same point, and
-// stale records (WAL and diff alike) are skipped by sequence number.
-func (l *Log) finishCompaction(encodedSnap []byte) error {
+// finish lands a rotated compaction, counts it, and releases compactMu. A
+// failure poisons the log before the release, so the compaction waiting
+// for it fails too.
+func (l *Log) finish(encodedSnap []byte) error {
+	defer l.compactMu.Unlock()
+	err := l.land(encodedSnap)
+	l.opts.Metrics.countCompaction(err)
+	if err != nil {
+		l.mu.Lock()
+		if l.poisoned == nil {
+			l.poisoned = err
+		}
+		l.mu.Unlock()
+	}
+	return err
+}
+
+// land writes the new state — an appended diff record when differential
+// compaction applies, a full snapshot rewrite otherwise — and removes the
+// retired WAL. If it fails partway, recovery still works: the old state
+// plus wal.prev plus the live WAL replay to the same point, and stale
+// records (WAL and diff alike) are skipped by sequence number.
+func (l *Log) land(encodedSnap []byte) error {
+	var cur *Snapshot
 	if l.opts.DiffCompact {
-		if done, err := l.tryDiffCompaction(encodedSnap); done || err != nil {
+		// Parsed once: the diff is taken against it and it becomes the next
+		// base. A state that does not parse lands as a full rewrite.
+		cur, _ = ReadSnapshot(bytes.NewReader(encodedSnap))
+	}
+	if !l.appendDiff(cur, len(encodedSnap)) {
+		if err := l.commit(SnapshotFile, encodedSnap); err != nil {
 			return err
 		}
-	}
-	if err := l.writeSnapshotFile(func(w io.Writer) error {
-		_, err := w.Write(encodedSnap)
-		return err
-	}); err != nil {
-		return err
-	}
-	// The snapshot now covers the whole diff chain; retire it. A crash
-	// before this removal leaves stale diff records recovery skips.
-	if err := l.fsys.Remove(filepath.Join(l.dir, DiffFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("persist: %w", err)
-	}
-	l.diffChain, l.diffSize = 0, 0
-	if cur, err := ReadSnapshot(bytes.NewReader(encodedSnap)); err == nil {
+		l.opts.Metrics.countSnapshot()
+		// The snapshot now covers the whole diff chain; retire it. A crash
+		// before this removal leaves stale diff records recovery skips.
+		if err := l.resetDiff(nil); err != nil {
+			return err
+		}
 		l.base = cur
-	} else {
-		l.base = nil
 	}
 	if err := l.fsys.Remove(filepath.Join(l.dir, walPrevFile)); err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -607,114 +596,61 @@ func (l *Log) finishCompaction(encodedSnap []byte) error {
 	return nil
 }
 
-// tryDiffCompaction attempts the differential path: compute the delta from
-// the last persisted state to encodedSnap and append it to the diff file.
-// It reports done=true when the compaction completed differentially; (false,
-// nil) falls back to a full rewrite — because the chain is at its bound,
-// the delta is not small enough to pay, or the base state is unusable. A
-// torn diff append also falls back: the full rewrite retires the diff file,
+// appendDiff tries the differential path: append the delta from the last
+// compaction point to cur (nil when differential compaction is off or the
+// state did not parse) to the diff file. It reports whether the compaction
+// is done; false falls back to a full rewrite — because the chain is at its
+// bound, the delta is not small enough to pay, or the base is unusable. A
+// torn append falls back too: the full rewrite retires the diff file,
 // healing the tear.
-func (l *Log) tryDiffCompaction(encodedSnap []byte) (bool, error) {
-	if l.diffChain >= diffMaxChain {
-		return false, nil
+func (l *Log) appendDiff(cur *Snapshot, snapBytes int) bool {
+	if cur == nil || l.diffChain >= diffMaxChain {
+		return false
 	}
-	cur, err := ReadSnapshot(bytes.NewReader(encodedSnap))
-	if err != nil {
-		return false, nil
+	if l.base == nil {
+		base, _, _, err := loadBase(l.dir)
+		if err != nil {
+			return false
+		}
+		l.base = base
 	}
-	base, err := l.loadBase()
-	if err != nil {
-		return false, nil
-	}
-	if cur.Seq <= base.Seq {
+	if cur.Seq <= l.base.Seq {
 		// Nothing new since the last compaction point (an explicit compact
 		// of an idle session): the retired WAL holds only stale records.
-		if err := l.fsys.Remove(filepath.Join(l.dir, walPrevFile)); err != nil {
-			return true, fmt.Errorf("persist: %w", err)
-		}
-		if l.opts.Fsync {
-			syncDir(l.dir)
-		}
-		return true, nil
+		return true
 	}
-	d, err := computeDiff(base, cur)
+	d, err := computeDiff(l.base, cur)
 	if err != nil {
-		return false, nil
+		return false
 	}
 	size := encodedDiffSize(d)
-	if size > maxRecordBytes || 2*size >= len(encodedSnap) {
-		return false, nil
-	}
-	if err := l.appendDiffFile(d, size); err != nil {
-		return false, nil
+	if size > maxRecordBytes || 2*size >= snapBytes || l.appendDiffFile(d, size) != nil {
+		return false
 	}
 	l.base = cur
-	if err := l.fsys.Remove(filepath.Join(l.dir, walPrevFile)); err != nil {
-		return true, fmt.Errorf("persist: %w", err)
-	}
-	if l.opts.Fsync {
-		syncDir(l.dir)
-	}
-	return true, nil
+	return true
 }
 
-// loadBase returns the state as of the last compaction point: the cached
-// copy when a compaction already ran, else the on-disk snapshot with the
-// diff chain merged (without the WAL — exactly what compaction supersedes).
-func (l *Log) loadBase() (*Snapshot, error) {
-	if l.base != nil {
-		return l.base, nil
-	}
-	f, err := os.Open(filepath.Join(l.dir, SnapshotFile))
-	if err != nil {
-		return nil, err
-	}
-	snap, err := ReadSnapshot(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	if sc, err := readDiffFile(filepath.Join(l.dir, DiffFile)); err == nil {
-		for _, d := range sc.diffs {
-			if d.seq <= snap.Seq {
-				continue
-			}
-			if err := applyDiff(snap, d); err != nil {
-				return nil, err
-			}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	l.base = snap
-	return snap, nil
-}
-
-// appendDiffFile appends one framed diff record (creating the file, magic
-// first, when absent) and makes it durable in Fsync mode. The caller
-// treats any failure as a torn tail and falls back to a full rewrite.
+// appendDiffFile appends d's frame to the diff file (creating it, magic
+// first, when absent) and makes it durable in Fsync mode.
 func (l *Log) appendDiffFile(d *diff, size int) error {
-	path := filepath.Join(l.dir, DiffFile)
 	buf := make([]byte, 0, size+len(diffMagic))
 	if l.diffSize == 0 {
 		buf = append(buf, diffMagic[:]...)
 	}
 	buf = appendDiffRecord(buf, d)
-	f, err := l.fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := l.fsys.OpenFile(filepath.Join(l.dir, DiffFile), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(buf)
+	if err == nil && l.opts.Fsync {
+		err = f.Sync()
 	}
-	if l.opts.Fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	l.diffChain++
@@ -723,40 +659,8 @@ func (l *Log) appendDiffFile(d *diff, size int) error {
 	return nil
 }
 
-// writeSnapshotFile writes the snapshot via tmp+rename so the previous
-// snapshot stays intact until the new one is durably complete.
-func (l *Log) writeSnapshotFile(writeSnap func(io.Writer) error) error {
-	tmp := filepath.Join(l.dir, snapshotTmpFile)
-	f, err := l.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := writeSnap(f); err != nil {
-		f.Close()
-		l.fsys.Remove(tmp)
-		return err
-	}
-	if l.opts.Fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := l.fsys.Rename(tmp, filepath.Join(l.dir, SnapshotFile)); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if l.opts.Fsync {
-		syncDir(l.dir)
-	}
-	l.opts.Metrics.countSnapshot()
-	return nil
-}
-
-// Close waits for any background compaction and closes the WAL. The first
-// background failure, if any, is returned.
+// Close waits for an in-flight compaction and closes the WAL. The log's
+// first write failure, if any, is returned.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -766,42 +670,19 @@ func (l *Log) Close() error {
 	l.closed = true
 	l.broadcastHeadLocked() // wake replication long-polls for a clean exit
 	l.mu.Unlock()
-	l.bg.Wait()
+	l.compactMu.Lock() // a compaction still finishing lands first
+	defer l.compactMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var err error
-	if l.wal != nil {
-		// Closing under l.mu keeps a racing Append from writing into a
-		// closed descriptor; the log is already marked closed, so nothing
-		// else can queue behind this.
-		//distec:nolint lockio
-		err = l.wal.Close()
-	}
+	// Closing under l.mu keeps a racing Append from writing into a closed
+	// descriptor; the log is already marked closed, so nothing else can
+	// queue behind this.
+	//distec:nolint lockio
+	err := l.wal.Close()
 	if l.poisoned != nil {
 		return l.poisoned
 	}
 	return err
-}
-
-func writeFileSync(fsys FS, path string, data []byte, fsync bool) error {
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: %w", err)
-	}
-	if fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return nil
 }
 
 // syncDir fsyncs a directory so renames within it are durable; best effort

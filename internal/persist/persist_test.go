@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // sampleSnapshot builds a small but non-trivial snapshot: a 6-cycle with
@@ -39,7 +41,7 @@ func sampleSnapshot(seq uint64) *Snapshot {
 	return s
 }
 
-func encodeSnapshot(t *testing.T, s *Snapshot) []byte {
+func encodeSnapshot(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, s); err != nil {
@@ -115,6 +117,13 @@ func TestSnapshotCorruption(t *testing.T) {
 	})
 }
 
+// scanWAL reads buf's records through the frame reader; clean reports
+// frames that end exactly at the end of buf.
+func scanWAL(buf []byte) ([]Record, bool, error) {
+	recs, n, err := scanFrames(buf, decodeRecord)
+	return recs, n == len(buf), err
+}
+
 func TestWALRecordRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Seq: 1, Updates: []Update{{Op: OpInsert, U: 0, V: 1}}},
@@ -127,7 +136,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		buf = appendRecord(buf, rec)
 		boundaries[len(buf)] = true
 	}
-	got, clean, err := scanWAL(bytes.NewReader(buf))
+	got, clean, err := scanWAL(buf)
 	if err != nil || !clean {
 		t.Fatalf("scan: clean=%v err=%v", clean, err)
 	}
@@ -137,7 +146,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	// Any truncation point drops at most the final record and is reported
 	// as unclean; earlier records always survive intact.
 	for cut := 0; cut < len(buf); cut++ {
-		got, clean, err := scanWAL(bytes.NewReader(buf[:cut]))
+		got, clean, err := scanWAL(buf[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -154,7 +163,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	for i := range buf {
 		bad := append([]byte(nil), buf...)
 		bad[i] ^= 0x40
-		got, clean, err := scanWAL(bytes.NewReader(bad))
+		got, clean, err := scanWAL(bad)
 		if err != nil {
 			t.Fatalf("flip %d: %v", i, err)
 		}
@@ -318,6 +327,67 @@ func TestLogCompactAsync(t *testing.T) {
 	}
 }
 
+// gateFS is the real filesystem, except that once armed, opening a
+// snapshot tmp file blocks until release is closed: it holds a
+// compaction's finish mid-flight.
+type gateFS struct {
+	osFS
+	armed   atomic.Bool
+	entered chan struct{} // one send per held open; buffered for both compactions
+	release chan struct{}
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	if g.armed.Load() && filepath.Base(name) == SnapshotFile+".tmp" {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.osFS.OpenFile(name, flag, perm)
+}
+
+// TestCompactionWaitsForInFlight pins the serialized compaction path:
+// while a background compaction is still finishing, a WAL grown past the
+// threshold again reports NeedsCompaction, and the next CompactAsync
+// waits for the first to finish instead of failing. Which batch triggers
+// a compaction then depends only on the bytes appended.
+func TestCompactionWaitsForInFlight(t *testing.T) {
+	g := &gateFS{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	dir := filepath.Join(t.TempDir(), "sess")
+	l := mustCreateLog(t, dir, sampleSnapshot(0), Options{CompactBytes: 64, FS: g})
+	appendN(t, l, 1, 4)
+	g.armed.Store(true)
+	if err := l.CompactAsync(encodeSnapshot(t, sampleSnapshot(4))); err != nil {
+		t.Fatal(err)
+	}
+	<-g.entered // the first compaction's finish is held
+	appendN(t, l, 5, 4)
+	if !l.NeedsCompaction() {
+		t.Fatalf("WAL at %d bytes past threshold 64 not flagged while a compaction finishes", l.WALSize())
+	}
+	state := encodeSnapshot(t, sampleSnapshot(8))
+	second := make(chan error, 1)
+	go func() { second <- l.CompactAsync(state) }()
+	select {
+	case err := <-second:
+		t.Fatalf("second compaction returned (%v) while the first was still finishing", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(g.release)
+	if err := <-second; err != nil {
+		t.Fatalf("second compaction: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, snap, replay, err := OpenLog(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Seq != 8 || len(replay) != 0 {
+		t.Fatalf("after two compactions: snap.Seq=%d replay=%d, want 8 and 0", snap.Seq, len(replay))
+	}
+}
+
 // TestLogCompactionCrashPoints simulates a crash at each stage of an
 // interrupted compaction by reconstructing the on-disk state it leaves, and
 // requires recovery to reach the same final state from every one.
@@ -331,7 +401,7 @@ func TestLogCompactionCrashPoints(t *testing.T) {
 			// wal renamed to wal.prev, fresh wal created, snapshot still old.
 		}},
 		{"snapshot-tmp-written", func(t *testing.T, dir string, newSnap []byte) {
-			if err := os.WriteFile(filepath.Join(dir, snapshotTmpFile), newSnap, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, SnapshotFile+".tmp"), newSnap, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -352,9 +422,7 @@ func TestLogCompactionCrashPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			appendN(t, l, 4, 2)
-			l.mu.Lock()
-			l.compacting = false
-			l.mu.Unlock()
+			l.compactMu.Unlock() // the compaction dies before its finish
 			l.Close()
 			st.muck(t, dir, encodeSnapshot(t, sampleSnapshot(3)))
 			l2, snap, replay, err := OpenLog(dir, Options{})
@@ -375,7 +443,7 @@ func TestLogCompactionCrashPoints(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, walPrevFile)); !errors.Is(err, os.ErrNotExist) {
 				t.Fatal("recovery left wal.prev behind")
 			}
-			if _, err := os.Stat(filepath.Join(dir, snapshotTmpFile)); !errors.Is(err, os.ErrNotExist) {
+			if _, err := os.Stat(filepath.Join(dir, SnapshotFile+".tmp")); !errors.Is(err, os.ErrNotExist) {
 				t.Fatal("recovery left snapshot.tmp behind")
 			}
 		})
@@ -442,13 +510,13 @@ func TestOpenLogMissingPieces(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "sess")
 		l := mustCreateLog(t, dir, sampleSnapshot(0), Options{})
 		l.Close()
-		os.WriteFile(filepath.Join(dir, snapshotTmpFile), []byte("junk"), 0o644)
+		os.WriteFile(filepath.Join(dir, SnapshotFile+".tmp"), []byte("junk"), 0o644)
 		l2, _, _, err := OpenLog(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l2.Close()
-		if _, err := os.Stat(filepath.Join(dir, snapshotTmpFile)); !errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(filepath.Join(dir, SnapshotFile+".tmp")); !errors.Is(err, os.ErrNotExist) {
 			t.Fatal("stray snapshot.tmp not removed")
 		}
 	})
@@ -497,6 +565,24 @@ func TestAppendFailurePoisonsLog(t *testing.T) {
 	}
 	if len(replay) != 1 || replay[0].Seq != 1 {
 		t.Fatalf("recovered %+v, want the pre-failure record", replay)
+	}
+}
+
+// TestAppendAllocationFree pins Log.Append, a //distec:hotpath, at zero
+// allocations per call once its encode buffer has grown.
+func TestAppendAllocationFree(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sess")
+	l := mustCreateLog(t, dir, sampleSnapshot(0), Options{})
+	defer l.Close()
+	rec := Record{Updates: []Update{{Op: OpInsert, U: 1, V: 2}, {Op: OpDelete, U: 3, V: 4}}}
+	allocs := testing.AllocsPerRun(100, func() {
+		rec.Seq++
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %v times per call, want 0", allocs)
 	}
 }
 

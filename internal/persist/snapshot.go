@@ -1,19 +1,28 @@
 // Package persist is the durability layer behind dynamic edge-coloring
 // sessions: binary point-in-time snapshots of a session's state (graph,
-// active-edge overlay, coloring, palette/algorithm header) plus an
-// append-only write-ahead log of applied update batches, managed per
-// session as a directory of files by Log.
+// active-edge overlay, coloring, palette/algorithm header), an optional
+// chain of differential snapshots, and an append-only write-ahead log of
+// applied update batches, managed per session as a directory of files by
+// Log.
 //
-// The recovery contract is snapshot ⊕ WAL: a session's state is its most
-// recent snapshot with every WAL record whose sequence number exceeds the
-// snapshot's replayed over it, in order. Both files are checksummed
-// (CRC-32C): a corrupt snapshot fails recovery loudly, and a torn final WAL
-// record — the footprint of a crash mid-append — is detected and discarded,
-// never half-applied. Because WAL records carry sequence numbers and
-// recovery skips records the snapshot already covers, compaction (write a
-// fresh snapshot, retire the old WAL) needs no atomicity between its two
-// steps: a crash between them merely leaves stale records that the next
-// recovery skips.
+// The recovery contract is (snapshot ⊕ diff chain) ⊕ WAL: a session's
+// state is its most recent snapshot with every newer diff merged over it
+// and every WAL record with a later sequence number replayed over that, in
+// order. Everything is checksummed (CRC-32C): a corrupt snapshot fails
+// recovery loudly, and a torn final record — the footprint of a crash
+// mid-append — is detected and discarded, never half-applied. Because
+// records carry sequence numbers and recovery skips those the snapshot
+// already covers, compaction (land a fresh snapshot or diff, retire the
+// old WAL) needs no atomicity between its steps: a crash between them
+// merely leaves stale records that the next recovery skips.
+//
+// Each mechanism exists once. WAL, diff and replication-stream records are
+// one frame (u32 length | u32 CRC-32C | payload), written by sealFrame and
+// read by scanFrames; scanFile reads every framed file; loadBase merges
+// the snapshot with its diff chain for recovery and for differential
+// compaction alike; Log.commit does every tmp-and-rename replacement.
+// Compact and CompactAsync share rotate and finish, and a compaction that
+// starts while the previous one is still finishing waits for it.
 //
 // The package is deliberately self-contained (no dependency on the coloring
 // machinery): it stores raw edge lists, overlays, and colors. The distec
@@ -44,7 +53,7 @@ const (
 // version.
 var snapshotMagic = [8]byte{'D', 'E', 'C', 'S', 'N', 'A', 'P', 1}
 
-// castagnoli is the CRC-32C table shared by snapshots and WAL records.
+// castagnoli is the CRC-32C table shared by snapshots and record frames.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot is one session's full durable state at a sequence point.

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"errors"
 	"fmt"
 	"io"
 )
@@ -10,10 +9,10 @@ import (
 // durable state to a tailing follower. A stream is the magic, one flag
 // byte, an optional full snapshot (sent when the follower's position
 // precedes the leader's effective snapshot — e.g. on first contact or
-// after the leader compacted past it), and zero or more WAL-framed records
-// to the end of the stream. Both halves reuse the on-disk encodings
-// (ReadSnapshot is self-delimiting; records carry the WAL's CRC framing),
-// so a follower applies exactly what recovery would.
+// after the leader compacted past it), and zero or more WAL records to the
+// end of the stream. Both halves reuse the on-disk encodings (ReadSnapshot
+// is self-delimiting; records are the WAL's frames, read by the same frame
+// reader), so a follower applies exactly what recovery would.
 
 // streamMagic opens every replication stream; the trailing byte is the
 // format version.
@@ -68,20 +67,15 @@ func ReadStream(r io.Reader) (*Snapshot, []Record, error) {
 			return nil, nil, err
 		}
 	}
-	var recs []Record
-	for {
-		rec, err := readRecord(r)
-		if err == io.EOF {
-			return snap, recs, nil
-		}
-		if errors.Is(err, errTorn) {
-			return nil, nil, fmt.Errorf("persist: truncated replication stream")
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		recs = append(recs, rec)
+	rest, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: replication stream: %w", err)
 	}
+	recs, n, _ := scanFrames(rest, decodeRecord) // a WAL record only tears
+	if n != len(rest) {
+		return nil, nil, fmt.Errorf("persist: truncated replication stream")
+	}
+	return snap, recs, nil
 }
 
 // ReadState reads a session directory for replication from a follower at

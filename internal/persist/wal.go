@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"os"
 )
 
 // walMagic opens every WAL file; the trailing byte is the format version.
 var walMagic = [8]byte{'D', 'E', 'C', 'W', 'A', 'L', 0, 1}
 
-// maxRecordBytes bounds one WAL record's payload; a length prefix beyond it
+// maxRecordBytes bounds one record's payload; a length prefix beyond it
 // is treated as corruption, not an allocation request. It comfortably holds
 // the largest update batch any caller submits (the daemon caps batches at
 // 10⁵ updates ≈ 0.9 MB).
@@ -42,121 +42,139 @@ type Record struct {
 	Updates []Update
 }
 
-// record wire format, after the file magic:
+// Every WAL, diff and replication-stream record is one frame, and only
+// the payload codecs differ by kind:
 //
-//	u32 payload length | u32 CRC-32C(payload) | payload
-//	payload = u64 seq | u32 count | count × (u8 op, u32 u, u32 v)
+//	frame          = u32 payload length | u32 CRC-32C(payload) | payload
+//	record payload = u64 seq | u32 count | count × (u8 op, u32 u, u32 v)
+//
+// A framed file (wal, wal.prev, diff) is its 8-byte magic followed by
+// frames.
 const (
 	recordHeaderBytes  = 8
 	recordPayloadFixed = 12
 	updateBytes        = 9
 )
 
-// appendRecord encodes rec onto buf and returns the extended slice. Every
-// byte of the extension is overwritten, so a recycled buffer (Log.enc) is
-// extended without the per-call allocation a make-and-append would cost on
-// the hot append path.
+// appendRecord encodes rec onto buf as one frame and returns the extended
+// slice. A recycled buffer (Log.enc) grows only until it holds the largest
+// record, so the hot append path does not allocate.
 //
 //distec:hotpath
 func appendRecord(buf []byte, rec Record) []byte {
-	payloadLen := recordPayloadFixed + updateBytes*len(rec.Updates)
 	start := len(buf)
-	need := start + recordHeaderBytes + payloadLen
-	if cap(buf) < need {
-		buf = append(buf, make([]byte, need-start)...)
-	} else {
-		buf = buf[:need]
-	}
-	payload := buf[start+recordHeaderBytes : need]
-	binary.LittleEndian.PutUint64(payload[0:], rec.Seq)
-	binary.LittleEndian.PutUint32(payload[8:], uint32(len(rec.Updates)))
-	off := recordPayloadFixed
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // frame header, sealed below
+	buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Updates)))
 	for _, up := range rec.Updates {
-		payload[off] = byte(up.Op)
-		binary.LittleEndian.PutUint32(payload[off+1:], uint32(up.U))
-		binary.LittleEndian.PutUint32(payload[off+5:], uint32(up.V))
-		off += updateBytes
+		buf = append(buf, byte(up.Op))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(up.U))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(up.V))
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(payloadLen))
+	return sealFrame(buf, start)
+}
+
+// sealFrame is the frame writer: the frame starts at buf[start] with a
+// reserved header and its payload runs to the end of buf; sealFrame fills
+// the header in with the payload's length and checksum.
+//
+//distec:hotpath
+func sealFrame(buf []byte, start int) []byte {
+	payload := buf[start+recordHeaderBytes:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 	return buf
 }
 
-// errTorn marks the end of the valid prefix of a WAL file: a record whose
-// length, payload, or checksum is incomplete or wrong. Scanning treats it
-// as end-of-log (a crash tears at most the final record; everything after a
-// tear is untrusted by construction).
-var errTorn = errors.New("persist: torn WAL record")
+// errTorn marks the end of the valid prefix of a run of frames: a payload
+// whose counts disagree with its length. A crash tears at most the final
+// record; everything after a tear is untrusted by construction.
+var errTorn = errors.New("persist: torn record")
 
-// readRecord parses one record from r. It returns errTorn for any
-// incomplete or checksum-failing record and io.EOF at a clean end.
-func readRecord(r io.Reader) (Record, error) {
-	var header [recordHeaderBytes]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
+// scanFrames is the frame reader: it decodes the frames at the start of
+// data in order, up to the end of data or the first tear — a frame cut
+// short, one longer than maxRecordBytes or failing its checksum, or a
+// payload decode rejects with errTorn. It returns the decoded frames and
+// the length of the prefix they cover, which is len(data) when the frames
+// end cleanly. Any other decode error is returned as is.
+func scanFrames[T any](data []byte, decode func([]byte) (T, error)) ([]T, int, error) {
+	var out []T
+	off := 0
+	for len(data)-off >= recordHeaderBytes {
+		n := binary.LittleEndian.Uint32(data[off:])
+		if n > maxRecordBytes || int(n) > len(data)-off-recordHeaderBytes {
+			break
 		}
-		return Record{}, errTorn // partial header
+		end := off + recordHeaderBytes + int(n)
+		payload := data[off+recordHeaderBytes : end]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
+			break
+		}
+		v, err := decode(payload)
+		if errors.Is(err, errTorn) {
+			break
+		}
+		if err != nil {
+			return out, off, err
+		}
+		out, off = append(out, v), end
 	}
-	payloadLen := binary.LittleEndian.Uint32(header[0:])
-	wantCRC := binary.LittleEndian.Uint32(header[4:])
-	if payloadLen < recordPayloadFixed || payloadLen > maxRecordBytes {
+	return out, off, nil
+}
+
+// decodeRecord parses one WAL record payload.
+func decodeRecord(p []byte) (Record, error) {
+	if len(p) < recordPayloadFixed {
 		return Record{}, errTorn
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	count := binary.LittleEndian.Uint32(p[8:])
+	if uint64(recordPayloadFixed)+uint64(count)*updateBytes != uint64(len(p)) {
 		return Record{}, errTorn
 	}
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
-		return Record{}, errTorn
-	}
-	rec := Record{Seq: binary.LittleEndian.Uint64(payload[0:])}
-	count := binary.LittleEndian.Uint32(payload[8:])
-	if uint64(recordPayloadFixed)+uint64(count)*updateBytes != uint64(payloadLen) {
-		return Record{}, errTorn
-	}
-	rec.Updates = make([]Update, count)
-	off := recordPayloadFixed
+	rec := Record{Seq: binary.LittleEndian.Uint64(p), Updates: make([]Update, count)}
 	for i := range rec.Updates {
+		u := p[recordPayloadFixed+i*updateBytes:]
 		rec.Updates[i] = Update{
-			Op: Op(payload[off]),
-			U:  int32(binary.LittleEndian.Uint32(payload[off+1:])),
-			V:  int32(binary.LittleEndian.Uint32(payload[off+5:])),
+			Op: Op(u[0]),
+			U:  int32(binary.LittleEndian.Uint32(u[1:])),
+			V:  int32(binary.LittleEndian.Uint32(u[5:])),
 		}
-		off += updateBytes
 	}
 	return rec, nil
 }
 
-// scanWAL parses a WAL stream after its magic: the records of the valid
-// prefix, and clean=false when a torn record (or trailing garbage) was
-// discarded at the end.
-func scanWAL(r io.Reader) (recs []Record, clean bool, err error) {
-	for {
-		rec, err := readRecord(r)
-		if err == io.EOF {
-			return recs, true, nil
-		}
-		if errors.Is(err, errTorn) {
-			return recs, false, nil
-		}
-		if err != nil {
-			return recs, false, err
-		}
-		recs = append(recs, rec)
-	}
+// fileScan is one framed file's parse: the records of its valid prefix,
+// whether the file ends cleanly after them, and the file's size.
+type fileScan[T any] struct {
+	items []T
+	clean bool
+	size  int64
 }
 
-// checkWALMagic consumes and verifies the file magic. A short file is a
-// tear (the crash hit the very first write); a present-but-wrong magic is
-// corruption.
-func checkWALMagic(r io.Reader) error {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return errTorn
+// scanFile reads the framed file at path (wal, wal.prev or diff): its
+// magic, then frames up to the first tear. A missing file holds nothing
+// and tears nothing; one too short for its magic is a torn empty file (the
+// crash hit its very first write). A wrong magic, or a payload decode
+// refuses outright, is an error.
+func scanFile[T any](path string, magic [8]byte, decode func([]byte) (T, error)) (fileScan[T], error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return fileScan[T]{clean: true}, nil
 	}
-	if magic != walMagic {
-		return fmt.Errorf("persist: bad WAL magic %q", magic[:])
+	if err != nil {
+		return fileScan[T]{}, fmt.Errorf("persist: %w", err)
 	}
-	return nil
+	sc := fileScan[T]{size: int64(len(data))}
+	if len(data) < len(magic) {
+		return sc, nil
+	}
+	if [8]byte(data) != magic {
+		return sc, fmt.Errorf("persist: %s: bad magic %q", path, data[:len(magic)])
+	}
+	items, n, err := scanFrames(data[len(magic):], decode)
+	if err != nil {
+		return sc, fmt.Errorf("persist: %s: %w", path, err)
+	}
+	sc.items, sc.clean = items, len(magic)+n == len(data)
+	return sc, nil
 }
