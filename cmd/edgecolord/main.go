@@ -45,7 +45,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/debug"
-	"sync/atomic"
+	"strings"
 	"syscall"
 	"time"
 
@@ -427,19 +427,18 @@ type server struct {
 	solveRounds    *metrics.Histogram
 	solveQuiescent *metrics.Histogram
 	roundDuration  *metrics.Histogram
-	// persist configures every session log: the registry's and the
-	// follower's replicated ones.
+	// persist configures every session log: the registry's, and through
+	// it the follower's replicas.
 	persist persist.Options
 
 	sessions *sessions.Registry
 
 	mux http.Handler
 
-	// following is true while the daemon is a warm standby (-follow):
-	// session traffic answers 503, the follower loop tails the leader, and
-	// promotion flips it false after recovering the replicated state.
-	following atomic.Bool
-	repl      *follower
+	// repl is the warm-standby replication loop (-follow), nil on a daemon
+	// that leads from boot; stopRepl ends it without promoting.
+	repl     *sessions.Follower
+	stopRepl context.CancelFunc
 
 	// afterJob, when non-nil, runs after a handler's compute phase and
 	// before its response is written — a test seam standing in for a job
@@ -468,6 +467,7 @@ func newDaemon(pool *distec.Pool, cfg daemonConfig) (*server, error) {
 	if cfg.follow != "" && cfg.dataDir == "" {
 		return nil, errors.New("-follow requires -data-dir (the standby needs somewhere to replicate to)")
 	}
+	s.cfg.follow = strings.TrimRight(cfg.follow, "/")
 	if cfg.dataDir != "" {
 		if err := os.MkdirAll(cfg.dataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("data dir: %w", err)
@@ -491,9 +491,14 @@ func newDaemon(pool *distec.Pool, cfg daemonConfig) (*server, error) {
 		} else {
 			// A follower's data dir is owned by the replication loop until
 			// promotion; recovery runs then, over whatever was replicated.
-			s.following.Store(true)
-			s.repl = newFollower(s)
-			go s.repl.run()
+			src := httpSource{leader: s.cfg.follow, client: &http.Client{Timeout: replLongPoll + 30*time.Second}}
+			s.repl = sessions.NewFollower(src, s.sessions, cfg.followPoll, cfg.promoteAfter)
+			// The follower lives as long as the daemon, not any request:
+			// close cancels its root.
+			//distec:nolint ctxflow
+			ctx, cancel := context.WithCancel(context.Background())
+			s.stopRepl = cancel
+			go s.repl.Run(ctx)
 		}
 	}
 	mux := http.NewServeMux()
@@ -502,11 +507,11 @@ func newDaemon(pool *distec.Pool, cfg daemonConfig) (*server, error) {
 	})
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/color", s.handleColor)
-	mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
-	mux.HandleFunc("GET /v1/session/{id}", s.handleSessionGet)
-	mux.HandleFunc("POST /v1/session/{id}/update", s.handleSessionUpdate)
-	mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
+	mux.HandleFunc("/v1/color", s.standby(s.handleColor))
+	mux.HandleFunc("POST /v1/session", s.standby(s.handleSessionCreate))
+	mux.HandleFunc("GET /v1/session/{id}", s.standby(s.handleSessionGet))
+	mux.HandleFunc("POST /v1/session/{id}/update", s.standby(s.handleSessionUpdate))
+	mux.HandleFunc("DELETE /v1/session/{id}", s.standby(s.handleSessionDelete))
 	mux.HandleFunc("GET /v1/replication/status", s.handleReplicationStatus)
 	mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	if cfg.dataDir != "" {
@@ -710,7 +715,8 @@ func (s *server) registryLimits() (maxSessions, maxResident int) {
 // sessions stay on disk for the next boot. Idempotent.
 func (s *server) close() {
 	if s.repl != nil {
-		s.repl.stopAndWait()
+		s.stopRepl()
+		<-s.repl.Done()
 	}
 	s.sessions.Close()
 }
@@ -755,10 +761,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleColor(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.rejectFollowing(w) {
-		return
-	}
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
@@ -853,10 +855,6 @@ func (s *server) handleColor(w http.ResponseWriter, r *http.Request) {
 // handleSessionCreate colors the posted graph on the pool and registers a
 // dynamic session maintaining that coloring under updates.
 func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.rejectFollowing(w) {
-		return
-	}
 	if s.sessions.Full() {
 		s.fail(w, http.StatusServiceUnavailable, sessions.ErrFull)
 		return
@@ -925,10 +923,6 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // handleSessionUpdate applies one update batch to a session as a job on the
 // pool's shared lanes, verifying the maintained coloring before responding.
 func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.rejectFollowing(w) {
-		return
-	}
 	sess, ok := s.sessions.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, errors.New("no such session"))
@@ -1004,10 +998,6 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionGet reports a session's current coloring and stats.
 func (s *server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.rejectFollowing(w) {
-		return
-	}
 	sess, ok := s.sessions.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, errors.New("no such session"))
@@ -1036,10 +1026,6 @@ func (s *server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // ErrSessionClosed instead of mutating a dropped session) and its persisted
 // files removed.
 func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if s.rejectFollowing(w) {
-		return
-	}
 	if !s.sessions.Delete(r.PathValue("id")) {
 		s.fail(w, http.StatusNotFound, errors.New("no such session"))
 		return

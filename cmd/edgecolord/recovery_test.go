@@ -94,8 +94,9 @@ func (m *sessionMirror) expectAt(t *testing.T, seq uint64) map[int]bool {
 }
 
 // checkRecovered asserts a recovered session matches the mirror at the seq
-// the daemon reports: verified, and the exact pre-crash active edge set.
-func (m *sessionMirror) checkRecovered(t *testing.T, baseURL string, minSeq uint64) {
+// the daemon reports: verified, and the exact pre-crash active edge set. It
+// returns that seq.
+func (m *sessionMirror) checkRecovered(t *testing.T, baseURL string, minSeq uint64) uint64 {
 	t.Helper()
 	r, err := http.Get(baseURL + "/v1/session/" + m.id)
 	if err != nil {
@@ -126,6 +127,7 @@ func (m *sessionMirror) checkRecovered(t *testing.T, baseURL string, minSeq uint
 	if len(sr.Colors) < len(want) {
 		t.Fatalf("recovered session %s: %d edges, want at least %d", m.id, len(sr.Colors), len(want))
 	}
+	return sr.Seq
 }
 
 // startDiskDaemon builds an in-process daemon over dataDir whose lifetime

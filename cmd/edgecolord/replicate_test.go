@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
@@ -131,7 +132,7 @@ func TestReplicationFollowerMirrorsAndPromotes(t *testing.T) {
 	if r.StatusCode != http.StatusOK || !strings.Contains(string(body), "leader") {
 		t.Fatalf("promote: %d: %s", r.StatusCode, body)
 	}
-	if fd.following.Load() {
+	if fd.repl.Following() {
 		t.Fatal("daemon still marked following after promote")
 	}
 	for _, m := range mirrors[:2] {
@@ -184,7 +185,7 @@ func TestReplicationAutoPromote(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if fd.following.Load() {
+	if fd.repl.Following() {
 		t.Fatal("daemon still marked following after auto-promote")
 	}
 	m.checkRecovered(t, followerTS.URL, 3)
@@ -349,18 +350,15 @@ func TestReplicateEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestFollowerDefaultsAndLagGauge pins two small follower contracts: an
-// unset -follow-poll falls back to the 500 ms default, and the
-// replication-lag gauge reads as a real value while following, then
+// TestFollowerDefaultsAndLagGauge pins a small follower contract with an
+// unset -follow-poll (its 500 ms fallback is pinned in internal/sessions):
+// the replication-lag gauge reads as a real value while following, then
 // pins to 0 once the daemon leads.
 func TestFollowerDefaultsAndLagGauge(t *testing.T) {
 	leaderTS, _, _ := newTestServerCfg(t, daemonConfig{dataDir: t.TempDir()})
-	followerTS, fd, _ := newTestServerCfg(t, daemonConfig{
+	followerTS, _, _ := newTestServerCfg(t, daemonConfig{
 		dataDir: t.TempDir(), follow: leaderTS.URL, // followPoll left zero
 	})
-	if fd.repl.poll != 500*time.Millisecond {
-		t.Fatalf("default follow poll = %v, want 500ms", fd.repl.poll)
-	}
 	scrape := func() string {
 		t.Helper()
 		r, err := http.Get(followerTS.URL + "/metrics")
@@ -509,7 +507,10 @@ func TestFailoverKill(t *testing.T) {
 	// Every batch acknowledged and replicated before the kill survives;
 	// the recovered seq may sit past ackedBatches if phase-2 batches made
 	// it across, and the mirror knows the exact edge set either way.
-	m.checkRecovered(t, followerURL, ackedBatches)
+	seq := m.checkRecovered(t, followerURL, ackedBatches)
+	// The mirror also holds the batches the failover lost, at least the
+	// one the kill cut off: make the next batch against the state served.
+	m.active = maps.Clone(m.expectAt(t, seq))
 
 	// The promoted daemon is a real leader: it accepts and serves new
 	// batches on the failed-over session.

@@ -6,12 +6,15 @@
 // the classical baselines it compares against.
 //
 // The unit of work is a Graph; algorithms color its edges so that edges
-// sharing an endpoint receive different colors. All algorithms are honest
+// sharing an endpoint receive different colors. All algorithms are
 // synchronous message-passing programs: they can run on a deterministic
 // sequential engine or on a sharded engine that runs partitions of the
 // network in parallel and batches messages between them — with
 // bit-identical results — and they report the number of LOCAL rounds
-// consumed.
+// consumed. Every algorithm but BKO ("bko") is an honest LOCAL program.
+// BKO's base solver plans Linial with each sub-topology's measured maximum
+// degree, which no node knows locally, so its colors on one component can
+// change with a disjoint one.
 //
 // Quickstart:
 //

@@ -2,6 +2,8 @@ package analysis_test
 
 import (
 	"bufio"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -129,6 +131,40 @@ func TestFixtures(t *testing.T) {
 	}
 	if d := readmeDiags[0]; d.Analyzer != "metricnames" || !strings.Contains(d.Message, `"app_stale_total"`) {
 		t.Fatalf("README finding = %s, want the app_stale_total stale-row diagnostic", d)
+	}
+}
+
+// TestFindingsIgnoreVisitOrder reruns the suite over the fixtures with
+// packages, files and declarations shuffled: the transitive analyzers
+// share memoized callee summaries across call sites, and the findings —
+// messages, witnesses included — must not depend on which caller asked
+// first.
+func TestFindingsIgnoreVisitOrder(t *testing.T) {
+	m := loadFixtureModule(t)
+	want, err := analysis.Run(m, m.Pkgs, fixtureConfig())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		m := loadFixtureModule(t)
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(len(m.Pkgs), func(i, j int) { m.Pkgs[i], m.Pkgs[j] = m.Pkgs[j], m.Pkgs[i] })
+		for _, pkg := range m.Pkgs {
+			rng.Shuffle(len(pkg.Files), func(i, j int) {
+				pkg.Files[i], pkg.Files[j] = pkg.Files[j], pkg.Files[i]
+				pkg.Filenames[i], pkg.Filenames[j] = pkg.Filenames[j], pkg.Filenames[i]
+			})
+			for _, f := range pkg.Files {
+				rng.Shuffle(len(f.Decls), func(i, j int) { f.Decls[i], f.Decls[j] = f.Decls[j], f.Decls[i] })
+			}
+		}
+		got, err := analysis.Run(m, m.Pkgs, fixtureConfig())
+		if err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: findings depend on visit order:\n got %v\nwant %v", seed, got, want)
+		}
 	}
 }
 

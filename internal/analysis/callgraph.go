@@ -117,17 +117,22 @@ func (g *CallGraph) StaticCallee(call *ast.CallExpr) (*CGNode, bool) {
 // summary memoizes a per-function fact over the static call graph:
 // scan computes it from one declared function's body, reading its
 // static callees' facts through of. A function already on the stack
-// reads as the zero value, "nothing found", which ends the recursion
-// on a cycle fail-safe: a fact reachable only further round the cycle
-// can be missed, never invented.
+// reads as the zero value, "nothing found", which ends the recursion on
+// a cycle. A result that read such a function is provisional — a fact
+// reachable only through the unfinished caller is missing from it — so
+// it is not memoized: only the outermost function of the cycle the scan
+// entered gets a final result, and the others are computed again, on
+// demand, against it. The scans join facts independently of order, so
+// no result depends on which caller asked first.
 type summary[T any] struct {
-	scan     func(m *Module, n *CGNode) T
-	memo     map[*CGNode]T
-	visiting map[*CGNode]bool
+	scan  func(m *Module, n *CGNode) T
+	memo  map[*CGNode]T
+	depth map[*CGNode]int // stack depth of each function being scanned
+	low   int             // shallowest stack depth the running scan read
 }
 
 func newSummary[T any](scan func(m *Module, n *CGNode) T) *summary[T] {
-	return &summary[T]{scan: scan, memo: map[*CGNode]T{}, visiting: map[*CGNode]bool{}}
+	return &summary[T]{scan: scan, memo: map[*CGNode]T{}, depth: map[*CGNode]int{}}
 }
 
 // of returns n's fact, computing it on first use.
@@ -135,23 +140,38 @@ func (s *summary[T]) of(m *Module, n *CGNode) T {
 	if v, ok := s.memo[n]; ok {
 		return v
 	}
-	var v T
-	if s.visiting[n] {
-		return v
+	if d, ok := s.depth[n]; ok {
+		s.low = min(s.low, d)
+		var zero T
+		return zero
 	}
-	s.visiting[n] = true
-	v = s.scan(m, n)
-	delete(s.visiting, n)
-	s.memo[n] = v
+	d, outer := len(s.depth), s.low
+	s.depth[n], s.low = d, d
+	v := s.scan(m, n)
+	delete(s.depth, n)
+	if s.low >= d {
+		s.memo[n] = v
+	}
+	s.low = min(outer, s.low)
 	return v
 }
 
 // violation is one offending site found down a call chain (blocking
-// I/O for lockio, a steady-state allocation for hotpath), reported at
-// the call site that reaches it.
+// I/O for lockio, a steady-state allocation for hotpath, an endless loop
+// for goroleak), reported at the call site that reaches it.
 type violation struct {
 	what string
 	pos  token.Pos
+}
+
+// earliest joins two findings: the one first in the file set, nil only
+// when both are. A summary that keeps the earliest site it can reach
+// names the same witness whatever order it was computed in.
+func earliest(a, b *violation) *violation {
+	if a == nil || (b != nil && b.pos < a.pos) {
+		return b
+	}
+	return a
 }
 
 // edgeKey dedupes edges: one (caller, callee, kind) triple is recorded

@@ -29,10 +29,10 @@ func newGoroLeak() *Analyzer {
 		Name: "goroleak",
 		Doc:  "flags go statements whose goroutine reaches an infinite loop with no return, break, or Goexit on any path",
 	}
-	// A callee's fact is its first leaky loop, directly or down its
-	// static callees (token.NoPos: none).
-	var loops *summary[token.Pos]
-	loops = newSummary(func(m *Module, n *CGNode) token.Pos {
+	// A callee's fact is its earliest leaky loop, directly or down its
+	// static callees (nil: none).
+	var loops *summary[*violation]
+	loops = newSummary(func(m *Module, n *CGNode) *violation {
 		return leakyLoopIn(m, loops, n.Decl.Body)
 	})
 	a.Run = func(p *Pass) {
@@ -43,14 +43,14 @@ func newGoroLeak() *Analyzer {
 				if !ok {
 					return true
 				}
-				var loop token.Pos
+				var loop *violation
 				if lit, ok := unparen(gs.Call.Fun).(*ast.FuncLit); ok {
 					loop = leakyLoopIn(p.Module, loops, lit.Body)
 				} else if callee, ok := g.StaticCallee(gs.Call); ok {
 					loop = loops.of(p.Module, callee)
 				}
-				if loop.IsValid() {
-					p.Reportf(gs.Pos(), "goroutine has no termination path: infinite loop at %s never returns or breaks — gate it on ctx.Done, Options.Interrupt, or a closed channel", p.Module.Fset.Position(loop))
+				if loop != nil {
+					p.Reportf(gs.Pos(), "goroutine has no termination path: infinite loop at %s never returns or breaks — gate it on ctx.Done, Options.Interrupt, or a closed channel", p.Module.Fset.Position(loop.pos))
 				}
 				return true
 			})
@@ -59,30 +59,23 @@ func newGoroLeak() *Analyzer {
 	return a
 }
 
-// leakyLoopIn returns the position of the first infinite loop without a
-// termination path reachable from body — directly, or through static
-// callees. Nested function literals and nested go statements belong to
-// other goroutines and are skipped (each `go` site gets its own check).
-func leakyLoopIn(m *Module, loops *summary[token.Pos], body *ast.BlockStmt) token.Pos {
-	found := token.NoPos
+// leakyLoopIn returns the earliest infinite loop without a termination
+// path reachable from body — directly, or through static callees. Nested
+// function literals and nested go statements belong to other goroutines
+// and are skipped (each `go` site gets its own check).
+func leakyLoopIn(m *Module, loops *summary[*violation], body *ast.BlockStmt) *violation {
+	var found *violation
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found.IsValid() {
-			return false
-		}
 		switch n := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
 		case *ast.ForStmt:
 			if n.Cond == nil && !forHasExit(n) {
-				found = n.Pos()
-				return false
+				found = earliest(found, &violation{what: "infinite loop", pos: n.Pos()})
 			}
 		case *ast.CallExpr:
 			if callee, ok := m.CallGraph().StaticCallee(n); ok {
-				if pos := loops.of(m, callee); pos.IsValid() {
-					found = pos
-					return false
-				}
+				found = earliest(found, loops.of(m, callee))
 			}
 		}
 		return true

@@ -34,16 +34,13 @@ func newHotPath() *Analyzer {
 		Doc:  "flags fmt, capturing closures, map and channel allocation, fresh-slice append, and unguarded trace calls inside (or statically reachable from) //distec:hotpath functions",
 	}
 	var sums *summary[*violation]
-	// A callee's fact is the first steady-state allocation on its own
+	// A callee's fact is the earliest steady-state allocation on its own
 	// path or down its static callees; callees marked //distec:hotpath
 	// are checked directly, and cold paths and sites justified in place
 	// are skipped.
 	sums = newSummary(func(m *Module, n *CGNode) *violation {
 		var found *violation
 		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			if found != nil {
-				return false
-			}
 			switch node := node.(type) {
 			case *ast.FuncLit, *ast.GoStmt:
 				return false // other goroutines / deferred closures: separate cost
@@ -52,12 +49,10 @@ func newHotPath() *Analyzer {
 					return true
 				}
 				if what, _ := steadyAlloc(n.Pkg.Info, node); what != "" {
-					found = &violation{what: what, pos: node.Pos()}
-					return false
-				}
-				if call, ok := node.(*ast.CallExpr); ok {
+					found = earliest(found, &violation{what: what, pos: node.Pos()})
+				} else if call, ok := node.(*ast.CallExpr); ok {
 					if callee, ok := m.CallGraph().StaticCallee(call); ok && !isHotPath(callee.Decl) {
-						found = sums.of(m, callee)
+						found = earliest(found, sums.of(m, callee))
 					}
 				}
 			}

@@ -36,14 +36,11 @@ func newLockIO() *Analyzer {
 		Doc:  "flags blocking I/O (file writes, fsync, os calls, journal hooks) reachable, directly or through static callees, while a mutex locked in the same function is held",
 	}
 	var sums *summary[*violation]
-	// A callee's fact is its first blocking-I/O call, directly or further
-	// down its static callees, skipping sites justified in place.
+	// A callee's fact is its earliest blocking-I/O call, directly or
+	// further down its static callees, skipping sites justified in place.
 	sums = newSummary(func(m *Module, n *CGNode) *violation {
 		var found *violation
 		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			if found != nil {
-				return false
-			}
 			switch node := node.(type) {
 			case *ast.FuncLit, *ast.GoStmt:
 				return false // runs on another goroutine or at return
@@ -52,11 +49,9 @@ func newLockIO() *Analyzer {
 					return true
 				}
 				if what := blockingIO(n.Pkg.Info, node); what != "" {
-					found = &violation{what: what, pos: node.Pos()}
-					return false
-				}
-				if callee, ok := m.CallGraph().StaticCallee(node); ok {
-					found = sums.of(m, callee)
+					found = earliest(found, &violation{what: what, pos: node.Pos()})
+				} else if callee, ok := m.CallGraph().StaticCallee(node); ok {
+					found = earliest(found, sums.of(m, callee))
 				}
 			}
 			return true

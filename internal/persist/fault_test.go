@@ -2,11 +2,14 @@ package persist_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/distec/distec/internal/persist"
 	"github.com/distec/distec/internal/persist/errfs"
@@ -198,5 +201,37 @@ func TestSingleFaultNeverLosesAckedBatch(t *testing.T) {
 				check(fmt.Sprintf("rename-%d", k), fsys)
 			}
 		})
+	}
+}
+
+// TestPoisonWakesWaitHead parks a replication long poll on a caught-up log
+// and poisons the log under it with a torn append 50 ms later. The poll
+// must return as soon as the log is poisoned: a poisoned log never
+// advances, so sleeping to the deadline only stalls the follower.
+func TestPoisonWakesWaitHead(t *testing.T) {
+	fs := errfs.New()
+	l, err := persist.CreateLog(filepath.Join(t.TempDir(), "sess"), func(w io.Writer) error {
+		return persist.WriteSnapshot(w, scriptSnapshot(0))
+	}, persist.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	writes, _, _ := fs.Ops()
+	fs.FailWrite(writes+1, 3)
+	appended := make(chan error, 1)
+	time.AfterFunc(50*time.Millisecond, func() {
+		appended <- l.Append(persist.Record{Seq: 1, Updates: []persist.Update{{Op: persist.OpInsert, U: 1, V: 2}}})
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	head := l.WaitHead(ctx, 0)
+	waited := time.Since(start)
+	if err := <-appended; !errors.Is(err, errfs.ErrInjected) {
+		t.Fatalf("torn append: err = %v, want the injected fault", err)
+	}
+	if head != 0 || waited > time.Second {
+		t.Fatalf("WaitHead on a log poisoned at 50 ms returned head %d after %v, want head 0 well before the 2 s deadline", head, waited)
 	}
 }

@@ -389,16 +389,14 @@ func (l *Log) Append(rec Record) error {
 	n, err := l.wal.Write(l.enc)
 	l.walSize += int64(n)
 	if err != nil {
-		l.poisoned = fmt.Errorf("WAL append wrote %d of %d bytes: %w", n, len(l.enc), err)
-		return fmt.Errorf("persist: %w", l.poisoned)
+		return l.poisonLocked(fmt.Errorf("WAL append wrote %d of %d bytes: %w", n, len(l.enc), err))
 	}
 	if l.opts.Fsync {
 		//distec:nolint lockio
 		if err := l.wal.Sync(); err != nil {
 			// The record's durability is unknown; no later append may be
 			// acknowledged on top of it.
-			l.poisoned = fmt.Errorf("WAL fsync: %w", err)
-			return fmt.Errorf("persist: %w", l.poisoned)
+			return l.poisonLocked(fmt.Errorf("WAL fsync: %w", err))
 		}
 	}
 	l.opts.Metrics.countAppend(n, l.opts.Fsync)
@@ -419,6 +417,17 @@ func (l *Log) writableLocked() error {
 		return fmt.Errorf("persist: log poisoned: %w", l.poisoned)
 	}
 	return nil
+}
+
+// poisonLocked records err as the log's unrecoverable write failure,
+// keeping the first one, wakes the WaitHead long-polls so none sleeps on a
+// log that will never advance, and returns err for the caller to report.
+func (l *Log) poisonLocked(err error) error {
+	if l.poisoned == nil {
+		l.poisoned = err
+	}
+	l.broadcastHeadLocked()
+	return fmt.Errorf("persist: %w", err)
 }
 
 // broadcastHeadLocked wakes the WaitHead long-polls, if any wait.
@@ -479,9 +488,6 @@ func (l *Log) WALSize() int64 {
 	return l.walSize
 }
 
-// Dir returns the session directory the log manages.
-func (l *Log) Dir() string { return l.dir }
-
 // NeedsCompaction reports whether the WAL has outgrown the compaction
 // threshold on a log that is neither closed nor poisoned. The WAL's size
 // alone decides: a compaction still finishing hides nothing, since the next
@@ -538,10 +544,10 @@ func (l *Log) rotate() error {
 		err = l.resetWAL(nil)
 	}
 	if err != nil {
-		l.poisoned = fmt.Errorf("WAL rotation: %w", err)
-		l.opts.Metrics.countCompaction(l.poisoned)
+		err = fmt.Errorf("WAL rotation: %w", err)
+		l.opts.Metrics.countCompaction(err)
 		l.compactMu.Unlock()
-		return fmt.Errorf("persist: %w", l.poisoned)
+		return l.poisonLocked(err)
 	}
 	return nil
 }
@@ -555,9 +561,7 @@ func (l *Log) finish(encodedSnap []byte) error {
 	l.opts.Metrics.countCompaction(err)
 	if err != nil {
 		l.mu.Lock()
-		if l.poisoned == nil {
-			l.poisoned = err
-		}
+		l.poisonLocked(err)
 		l.mu.Unlock()
 	}
 	return err

@@ -22,7 +22,9 @@
 // the snapshot with its diff chain for recovery and for differential
 // compaction alike; Log.commit does every tmp-and-rename replacement.
 // Compact and CompactAsync share rotate and finish, and a compaction that
-// starts while the previous one is still finishing waits for it.
+// starts while the previous one is still finishing waits for it. Every
+// unrecoverable write failure poisons the log through poisonLocked, which
+// also wakes the WaitHead long polls.
 //
 // The package is deliberately self-contained (no dependency on the coloring
 // machinery): it stores raw edge lists, overlays, and colors. The distec

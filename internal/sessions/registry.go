@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -307,10 +308,32 @@ func (r *Registry) Delete(id string) bool {
 	return ok
 }
 
-// WaitHead blocks until session id's log head passes from or ctx ends —
-// the replication long poll. A passivated or unknown session has no live
-// log to signal through, so the wait runs until ctx ends.
-func (r *Registry) WaitHead(ctx context.Context, id string, from uint64) {
+// Stream reads session id's durable state for a follower at from — the
+// leader's half of replication, behind its HTTP endpoint and in-process
+// sources alike. With bootstrap, or when compaction moved past from, it is
+// the effective snapshot plus every replayable record; otherwise the
+// records past from. A caught-up follower gets the long poll: Stream waits
+// until the head passes from (or the log closes or is poisoned, or ctx
+// ends) and reads again, and an empty answer means poll again. The reads
+// race benignly with appends and compactions; an error is transient, a
+// missing session wraps fs.ErrNotExist, and an id that is not a session
+// name wraps fs.ErrInvalid.
+func (r *Registry) Stream(ctx context.Context, id string, from uint64, bootstrap bool) (*persist.Snapshot, []persist.Record, error) {
+	if !validID(id) {
+		return nil, nil, fmt.Errorf("sessions: bad session id %q: %w", id, fs.ErrInvalid)
+	}
+	snap, recs, err := persist.ReadState(r.dir(id), from, bootstrap)
+	if err == nil && !bootstrap && snap == nil && len(recs) == 0 {
+		r.waitHead(ctx, id, from)
+		snap, recs, err = persist.ReadState(r.dir(id), from, false)
+	}
+	return snap, recs, err
+}
+
+// waitHead blocks until session id's log head passes from or ctx ends. A
+// passivated or unknown session has no live log to signal through, so the
+// wait runs until ctx ends.
+func (r *Registry) waitHead(ctx context.Context, id string, from uint64) {
 	if s, ok := r.Get(id); ok {
 		s.mu.Lock()
 		lg := s.log

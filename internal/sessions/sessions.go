@@ -6,12 +6,20 @@
 // rehydration and sessionctl all restore through Rebuild, so the restore
 // path cannot diverge between them. Registry is the daemon's live session
 // set on top of that pipeline.
+//
+// Replication lives here too. Registry.Stream is the leader's long-poll
+// read of one session, and Follower is the warm standby that tails a
+// leader's sessions through a two-method Source (the daemon's over HTTP,
+// the tests' in process) and promotes into its own Registry through
+// Recover. A new session and a follower's replica come to be through one
+// create path, so the session-directory rule cannot diverge either.
 package sessions
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -53,12 +61,30 @@ func List(dataDir string) ([]string, error) {
 // On failure the directory is removed, so a failed create leaves nothing
 // for recovery or replication to trip over.
 func Create(dir string, d *distec.Dynamic, opts persist.Options) (*persist.Log, error) {
-	lg, err := persist.CreateLog(dir, d.Snapshot, opts)
+	lg, err := create(dir, d.Seq(), d.Snapshot, opts)
+	if err != nil {
+		return nil, err
+	}
+	d.SetJournal(journal(lg))
+	return lg, nil
+}
+
+// create is the one way a session directory comes to be, for a new
+// session and a follower's replica alike: whatever dir held is removed,
+// then the snapshot writeSnap encodes (the state after batch seq) and an
+// empty WAL are written, and the log's head starts at seq so appends chain
+// from there. On failure the directory is removed again.
+func create(dir string, seq uint64, writeSnap func(io.Writer) error, opts persist.Options) (*persist.Log, error) {
+	err := os.RemoveAll(dir)
+	var lg *persist.Log
+	if err == nil {
+		lg, err = persist.CreateLog(dir, writeSnap, opts)
+	}
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	d.SetJournal(journal(lg))
+	lg.SetHead(seq)
 	return lg, nil
 }
 

@@ -571,7 +571,7 @@ func TestDeleteAndWaitHead(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		r.WaitHead(wait, id, 0)
+		r.waitHead(wait, id, 0)
 	}()
 	apply(t, r, s, chord(0, 2))
 	<-done
@@ -580,7 +580,7 @@ func TestDeleteAndWaitHead(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	r.WaitHead(ctx, "unknown", 0)
+	r.waitHead(ctx, "unknown", 0)
 	if ctx.Err() == nil {
 		t.Fatal("WaitHead on an unknown session returned before its ctx ended")
 	}
