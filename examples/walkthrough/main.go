@@ -91,7 +91,7 @@ func main() {
 			fmt.Printf("Figure 4 — class %d: every member's list shrank to ≤ deg(e)/2 → deferred to the recursion\n", class)
 			continue
 		}
-		got, _, err := listcolor.SolvePairs(local.GraphPairs(g), subActive, subLists, nil, 0, local.Sequential)
+		got, _, err := listcolor.SolveBase(&listcolor.Instance{G: g, Active: subActive, Lists: subLists, C: c}, nil, 0, local.Sequential)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func main() {
 				}
 			}
 		}
-		got, _, err := listcolor.SolvePairs(local.GraphPairs(g), cur, lists, nil, 0, local.Sequential)
+		got, _, err := listcolor.SolveBase(&listcolor.Instance{G: g, Active: cur, Lists: lists, C: c}, nil, 0, local.Sequential)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -372,12 +372,10 @@ func E7Chain(scale Scale) (*Table, error) {
 		}
 		size = res.Partition.PartSize
 		minSlack := math.Inf(1)
-		degs := activeDegreesOf(curPairs, active)
-		for e := range curPairs {
-			if active[e] && degs[e] > 0 {
-				if s := float64(len(lists[e])) / float64(degs[e]); s < minSlack {
-					minSlack = s
-				}
+		sys, items := local.ActivePairs(curPairs, active)
+		for k, e := range items {
+			if deg := sys.Degree(k); deg > 0 {
+				minSlack = min(minSlack, float64(len(lists[e]))/float64(deg))
 			}
 		}
 		bound := 24 * core.Harmonic(res.Partition.Q) * math.Max(1, math.Log2(float64(p)))
@@ -675,24 +673,6 @@ func fullLists(m, c int) [][]int {
 		lists[e] = palette
 	}
 	return lists
-}
-
-// activeDegreesOf computes conflict degrees of a pair system subset.
-func activeDegreesOf(pairs [][2]int64, active []bool) []int {
-	cnt := make(map[int64]int)
-	for e, pr := range pairs {
-		if active[e] {
-			cnt[pr[0]]++
-			cnt[pr[1]]++
-		}
-	}
-	deg := make([]int, len(pairs))
-	for e, pr := range pairs {
-		if active[e] {
-			deg[e] = cnt[pr[0]] + cnt[pr[1]] - 2
-		}
-	}
-	return deg
 }
 
 // countStranded counts assigned edges whose post-reduction list is not

@@ -10,11 +10,8 @@ import (
 
 // SolveGraph runs the full algorithm on a list edge coloring instance over a
 // graph (package listcolor). It is the main entry point for the public API
-// and the experiments.
+// and the experiments; Solve validates the instance.
 func SolveGraph(in *listcolor.Instance, params Params, run local.Engine) (*Result, error) {
-	if err := in.Validate(1); err != nil {
-		return nil, fmt.Errorf("core: invalid instance: %w", err)
-	}
 	return Solve(local.GraphPairs(in.G), in.Active, in.Lists, in.C, params, run)
 }
 
@@ -41,33 +38,27 @@ type SpaceReduceResult struct {
 // is the experiment hook behind E6 (Eq. (2) quality), E11 (virtual split)
 // and E13 (phased vs direct ablation).
 func SpaceReduceOnce(pairs [][2]int64, active []bool, lists [][]int, c, p int, params Params, run local.Engine) (*SpaceReduceResult, error) {
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
-	if run == nil {
-		run = local.Sequential
-	}
-	m := len(pairs)
-	if active == nil {
-		active = make([]bool, m)
-		for i := range active {
-			active[i] = true
-		}
-	}
-	s := &Solver{params: params, run: run, trace: &Trace{}}
-	prep, err := s.prepare(pairs, active)
+	s, inst, err := newSolver(pairs, active, lists, c, params, run)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.assignSubspaces(assignInput{
-		pairs: pairs, active: active, lists: lists, lo: make([]int, m),
-		size: c, p: p, depth: 0,
-	})
+	prep, err := s.prepare(inst, len(pairs))
 	if err != nil {
 		return nil, err
+	}
+	res, err := s.assignSubspaces(assignInput{inst: inst, lo: make([]int, len(inst.items)), size: c, p: p, depth: 0})
+	if err != nil {
+		return nil, err
+	}
+	assign := make([]int, len(pairs))
+	for e := range assign {
+		assign[e] = -1
+	}
+	for k, e := range inst.items {
+		assign[e] = res.assign[k]
 	}
 	return &SpaceReduceResult{
-		Assign:    res.assign,
+		Assign:    assign,
 		Partition: res.pt,
 		Stats:     res.stats,
 		PrepStats: prep,
@@ -75,25 +66,39 @@ func SpaceReduceOnce(pairs [][2]int64, active []bool, lists [][]int, c, p int, p
 	}, nil
 }
 
-// prepare computes the global O(Δ̄²) initial coloring (Theorem 4.1's
-// O(log* n) preamble) and installs it on the solver.
-func (s *Solver) prepare(pairs [][2]int64, active []bool) (local.Stats, error) {
-	m := len(pairs)
-	full := local.PairConflict(pairs)
-	sub, orig, _ := local.Induced(full, active, nil)
-	init := make([]int, sub.N())
-	for i, oe := range orig {
-		init[i] = oe
+// newSolver returns a solver over the items of pairs that active marks
+// (every item when active is nil) and the top-level instance of those
+// items with their lists.
+func newSolver(pairs [][2]int64, active []bool, lists [][]int, c int, params Params, run local.Engine) (*Solver, instance, error) {
+	if err := params.validate(); err != nil {
+		return nil, instance{}, err
+	}
+	if run == nil {
+		run = local.Sequential
+	}
+	sys, items := local.ActivePairs(pairs, active)
+	inst := instance{items: items, sys: sys, lists: pick(lists, items), c: c}
+	return &Solver{params: params, run: run, trace: &Trace{}}, inst, nil
+}
+
+// prepare computes the global O(Δ̄²) initial coloring of the top-level
+// instance (Theorem 4.1's O(log* n) preamble, seeded with item indices
+// from a universe of m items) and installs it on the solver.
+func (s *Solver) prepare(inst instance, m int) (local.Stats, error) {
+	topo := inst.sys.Topology()
+	init := make([]int, len(inst.items))
+	for k, e := range inst.items {
+		init[k] = int(e)
 	}
 	local.SetSpanLabel(s.run, "linial")
-	cols, st, err := linial.Reduce(sub, init, m, s.run)
+	cols, st, err := linial.Reduce(topo, init, m, s.run)
 	if err != nil {
 		return st, fmt.Errorf("core: initial Linial coloring: %w", err)
 	}
 	s.baseCols = make([]int, m)
-	for i, oe := range orig {
-		s.baseCols[oe] = cols[i]
+	for k, e := range inst.items {
+		s.baseCols[e] = cols[k]
 	}
-	s.baseX = linial.Colors(m, sub.MaxDeg)
+	s.baseX = linial.Colors(m, topo.MaxDeg)
 	return st, nil
 }

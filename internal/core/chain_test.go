@@ -7,19 +7,19 @@ import (
 	"github.com/distec/distec/internal/local"
 )
 
-// newTestSolver builds a Solver with the global initial coloring prepared,
-// for white-box tests of the internal lemma implementations.
-func newTestSolver(t *testing.T, pairs [][2]int64, params Params) *Solver {
+// newTestSolver builds a Solver with the global initial coloring prepared
+// and the instance of all items, for white-box tests of the internal lemma
+// implementations. Member k of the instance is item k.
+func newTestSolver(t *testing.T, pairs [][2]int64, lists [][]int, c int, params Params) (*Solver, instance) {
 	t.Helper()
-	s := &Solver{params: params, run: local.Sequential, trace: &Trace{}}
-	active := make([]bool, len(pairs))
-	for i := range active {
-		active[i] = true
+	s, inst, err := newSolver(pairs, nil, lists, c, params, local.Sequential)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.prepare(pairs, active); err != nil {
+	if _, err := s.prepare(inst, len(pairs)); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	return s
+	return s, inst
 }
 
 // TestSolveSlackSStrictHighSlack drives the Lemma 4.5 chain directly in
@@ -35,15 +35,13 @@ func TestSolveSlackSStrictHighSlack(t *testing.T) {
 		palette[i] = i
 	}
 	lists := make([][]int, g.M())
-	active := make([]bool, g.M())
 	for e := range lists {
 		lists[e] = palette
-		active[e] = true
 	}
 	params := Practical()
 	params.Strict = true
-	s := newTestSolver(t, pairs, params)
-	colors, stats, err := s.solveSlackS(instance{pairs: pairs, active: active, lists: lists, c: c}, 0)
+	s, inst := newTestSolver(t, pairs, lists, c, params)
+	colors, stats, err := s.solveSlackS(inst, 0)
 	if err != nil {
 		t.Fatalf("solveSlackS strict: %v", err)
 	}
@@ -76,7 +74,6 @@ func TestSolveSlackSDefersPracticalTightSlack(t *testing.T) {
 	pairs := local.GraphPairs(g)
 	c := 24 // lists of 21..24 colors: almost no slack for a chain
 	lists := make([][]int, g.M())
-	active := make([]bool, g.M())
 	for e := range lists {
 		deg := g.EdgeDegree(graph.EdgeID(e))
 		l := make([]int, deg+2)
@@ -84,10 +81,9 @@ func TestSolveSlackSDefersPracticalTightSlack(t *testing.T) {
 			l[i] = i
 		}
 		lists[e] = l
-		active[e] = true
 	}
-	s := newTestSolver(t, pairs, Practical())
-	colors, _, err := s.solveSlackS(instance{pairs: pairs, active: active, lists: lists, c: c}, 0)
+	s, inst := newTestSolver(t, pairs, lists, c, Practical())
+	colors, _, err := s.solveSlackS(inst, 0)
 	if err != nil {
 		t.Fatalf("practical chain must not error: %v", err)
 	}
@@ -118,13 +114,11 @@ func TestSolveSlack1OnVirtualStylePairs(t *testing.T) {
 	m := len(pairs)
 	c := 8
 	lists := make([][]int, m)
-	active := make([]bool, m)
 	for i := range lists {
 		lists[i] = []int{0, 1, 2, 3, 4, 5, 6, 7}
-		active[i] = true
 	}
-	s := newTestSolver(t, pairs, Practical())
-	colors, _, err := s.solveSlack1(instance{pairs: pairs, active: active, lists: lists, c: c}, 0)
+	s, inst := newTestSolver(t, pairs, lists, c, Practical())
+	colors, _, err := s.solveSlack1(inst, 0)
 	if err != nil {
 		t.Fatalf("solveSlack1: %v", err)
 	}

@@ -9,15 +9,15 @@ import (
 )
 
 // TestBuildVirtualPairsDeterministic pins the fix for the map-order bug
-// in buildVirtualPairs: virtual side-key IDs are interned in first-seen
-// order, so iterating sideIdx directly minted IDs in map-iteration
-// order and two runs over the same input could disagree. Every run must
-// now produce the identical virtual pair system.
+// of the virtual-graph construction: virtual side IDs were once interned
+// while walking a map, in map-iteration order, and two runs over the same
+// input could disagree. Every run must produce the identical virtual pair
+// system.
 func TestBuildVirtualPairsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const m, keys = 400, 60
 	pairs := make([][2]int64, m)
-	isMember := make(map[int]bool, m)
+	var members []int32
 	for e := range pairs {
 		a := rng.Int63n(keys)
 		b := rng.Int63n(keys)
@@ -26,29 +26,22 @@ func TestBuildVirtualPairsDeterministic(t *testing.T) {
 		}
 		pairs[e] = [2]int64{a, b}
 		if e%3 != 0 {
-			isMember[e] = true
+			members = append(members, int32(e))
 		}
-	}
-	active := make([]bool, m)
-	for e := range active {
-		active[e] = true
 	}
 
-	var refPairs [][2]int64
-	var refActive []bool
-	// Rebuild sideIdx fresh each iteration: distinct map instances
+	var ref [][2]int32
+	// Rebuild the systems fresh each iteration: distinct map instances
 	// iterate in distinct orders, which is exactly what leaked before.
 	for trial := 0; trial < 25; trial++ {
-		sideIdx := buildSideIndex(pairs, active)
-		vp, va := buildVirtualPairs(pairs, sideIdx, isMember, 4, m)
+		vp := virtualPairs(local.NewPairs(pairs).Sub(members), 4)
 		if trial == 0 {
-			refPairs, refActive = vp, va
+			ref = vp.Key
 			continue
 		}
-		for e := range vp {
-			if vp[e] != refPairs[e] || va[e] != refActive[e] {
-				t.Fatalf("trial %d: item %d got pair %v active %v, first run had %v %v",
-					trial, e, vp[e], va[e], refPairs[e], refActive[e])
+		for i := range vp.Key {
+			if vp.Key[i] != ref[i] {
+				t.Fatalf("trial %d: member %d got sides %v, first run had %v", trial, i, vp.Key[i], ref[i])
 			}
 		}
 	}

@@ -23,9 +23,11 @@
 //     realizes the outer "Δ̄ → 2√Δ̄, O(log log Δ̄) iterations" argument of
 //     §4.3.
 //
-// All communication passes through the pair-conflict abstraction of package
-// local; virtual graphs (§4.2, Figure 6) are pair systems whose side keys
-// are virtual node copies, so every subroutine — including the defective
+// Every sub-instance — a Lemma 4.2 defect class, a Lemma 4.5 chain level,
+// the §4.2 virtual graph (Figure 6) — is a member list of top-level items,
+// in ascending order, with its own pair system (local.Pairs) and
+// member-indexed lists. Virtual graphs are pair systems whose sides are
+// virtual node copies, so every subroutine — including the defective
 // coloring — runs on them unchanged.
 package core
 
@@ -49,7 +51,7 @@ type Params struct {
 	P func(dbar, c int) int
 
 	// BaseDegree is the conflict-degree threshold at or below which
-	// instances are handed to the base solver (listcolor.SolvePairs,
+	// instances are handed to the base solver (listcolor.SolveOnTopology,
 	// O(Δ̄²+log*)). This is the paper's "Δ̄ = O(1)" base case.
 	BaseDegree int
 

@@ -9,14 +9,30 @@ import (
 	"github.com/distec/distec/internal/local"
 )
 
-// instance is a working list coloring instance over a pair system. The item
-// universe is shared across the whole recursion; active masks select
-// participants.
+// instance is a working list coloring instance: a member list of items of
+// the top-level universe, in ascending order, with the members' own pair
+// system (member k is item k of sys) and lists. Every sub-instance of the
+// recursion is one, so each sees its members in the parent's order.
 type instance struct {
-	pairs  [][2]int64
-	active []bool
-	lists  [][]int
-	c      int // palette size: list colors lie in [0, c)
+	items []int32      // top-level item index of each member, ascending
+	sys   *local.Pairs // the members' conflict system
+	lists [][]int      // lists[k] is member k's list
+	c     int          // palette size: list colors lie in [0, c)
+}
+
+// sub returns the instance of the members keep (ascending member indices)
+// with the given lists, on the same sides.
+func (in instance) sub(keep []int32, lists [][]int) instance {
+	return instance{items: pick(in.items, keep), sys: in.sys.Sub(keep), lists: lists, c: in.c}
+}
+
+// pick returns xs[k] for each k of keep.
+func pick[T any](xs []T, keep []int32) []T {
+	out := make([]T, len(keep))
+	for i, k := range keep {
+		out[i] = xs[k]
+	}
+	return out
 }
 
 // Solver executes the paper's algorithm with fixed parameters over one item
@@ -53,30 +69,18 @@ type Result struct {
 // guaranteed by the invariant that coloring a neighbor removes at most one
 // list color while reducing the uncolored degree by exactly one.
 func Solve(pairs [][2]int64, active []bool, lists [][]int, c int, params Params, run local.Engine) (*Result, error) {
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
-	if run == nil {
-		run = local.Sequential
-	}
 	m := len(pairs)
-	if active == nil {
-		active = make([]bool, m)
-		for i := range active {
-			active[i] = true
-		}
-	}
-	if len(lists) != m || len(active) != m {
+	if len(lists) != m || active != nil && len(active) != m {
 		return nil, fmt.Errorf("core: lists/active sized %d/%d for %d items", len(lists), len(active), m)
 	}
-	deg := activeDegrees(pairs, active, nil)
-	for e := 0; e < m; e++ {
-		if !active[e] {
-			continue
-		}
-		l := lists[e]
-		if len(l) <= deg[e] {
-			return nil, fmt.Errorf("core: item %d violates (deg+1)-list condition: |L|=%d, deg=%d", e, len(l), deg[e])
+	s, inst, err := newSolver(pairs, active, lists, c, params, run)
+	if err != nil {
+		return nil, err
+	}
+	for k, e := range inst.items {
+		l := inst.lists[k]
+		if deg := inst.sys.Degree(k); len(l) <= deg {
+			return nil, fmt.Errorf("core: item %d violates (deg+1)-list condition: |L|=%d, deg=%d", e, len(l), deg)
 		}
 		for i, col := range l {
 			if col < 0 || col >= c {
@@ -88,19 +92,16 @@ func Solve(pairs [][2]int64, active []bool, lists [][]int, c int, params Params,
 		}
 	}
 
-	s := &Solver{params: params, run: run, trace: &Trace{}}
-	var stats local.Stats
-
 	// Theorem 4.1 preamble: one O(log* n) Linial pass computes the global
 	// O(Δ̄²)-coloring handed to every subsequent subroutine as its initial
 	// coloring, so log* is paid exactly once.
-	st, err := s.prepare(pairs, active)
+	var stats local.Stats
+	st, err := s.prepare(inst, m)
 	seq(&stats, st)
 	if err != nil {
 		return nil, err
 	}
 
-	inst := instance{pairs: pairs, active: active, lists: lists, c: c}
 	colors, st, err := s.solveSlack1(inst, 0)
 	seq(&stats, st)
 	if err != nil {
@@ -110,28 +111,28 @@ func Solve(pairs [][2]int64, active []bool, lists [][]int, c int, params Params,
 	// conflicting items sharing a color. O(Σdeg) — negligible next to the
 	// solve itself, and it turns any internal bug into an error rather than
 	// a silently wrong coloring.
-	sideIdx := buildSideIndex(pairs, active)
-	for e := 0; e < m; e++ {
-		if !active[e] {
-			continue
-		}
-		if colors[e] < 0 {
+	out := make([]int, m)
+	for e := range out {
+		out[e] = -1
+	}
+	for k, e := range inst.items {
+		col := colors[k]
+		if col < 0 {
 			return nil, fmt.Errorf("core: item %d left uncolored (bug)", e)
 		}
-		if !containsSorted(lists[e], colors[e]) {
-			return nil, fmt.Errorf("core: item %d color %d not in its list (bug)", e, colors[e])
+		if !containsSorted(inst.lists[k], col) {
+			return nil, fmt.Errorf("core: item %d color %d not in its list (bug)", e, col)
 		}
-		var clash error
-		forEachNeighbor(pairs, sideIdx, e, func(f int) {
-			if clash == nil && colors[f] == colors[e] {
-				clash = fmt.Errorf("core: items %d and %d share color %d (bug)", e, f, colors[e])
+		for _, side := range inst.sys.Key[k] {
+			for _, f := range inst.sys.Side(side) {
+				if int(f) != k && colors[f] == col {
+					return nil, fmt.Errorf("core: items %d and %d share color %d (bug)", e, inst.items[f], col)
+				}
 			}
-		})
-		if clash != nil {
-			return nil, clash
 		}
+		out[e] = col
 	}
-	return &Result{Colors: colors, Stats: stats, Trace: *s.trace}, nil
+	return &Result{Colors: out, Stats: stats, Trace: *s.trace}, nil
 }
 
 // containsSorted reports whether ascending list l contains x.
@@ -144,22 +145,22 @@ func containsSorted(l []int, x int) bool {
 // coloring with parameter β, iterating over the O(β²) defect classes,
 // marking edges whose pruned list exceeds half their degree, solving each
 // marked class as a slack-β instance, and recursing on the uncolored
-// remainder (whose conflict degree provably halves per sweep).
+// remainder (whose conflict degree provably halves per sweep). It returns
+// a color per member.
 func (s *Solver) solveSlack1(inst instance, depth int) ([]int, local.Stats, error) {
 	if depth > s.trace.DeepestRecursion {
 		s.trace.DeepestRecursion = depth
 	}
-	m := len(inst.pairs)
-	colors := make([]int, m)
-	for e := range colors {
-		colors[e] = -1
+	colors := make([]int, len(inst.items))
+	cur := make([]int32, len(inst.items)) // the uncolored members
+	for k := range colors {
+		colors[k], cur[k] = -1, int32(k)
 	}
-	cur := append([]bool(nil), inst.active...)
-	sideIdxAll := buildSideIndex(inst.pairs, inst.active)
 	var stats local.Stats
 
-	for sweep := 0; anyActive(cur); sweep++ {
-		dbar := maxActiveDegree(inst.pairs, cur)
+	for sweep := 0; len(cur) > 0; sweep++ {
+		curSys := inst.sys.Sub(cur)
+		dbar := curSys.MaxDegree()
 		if depth == 0 {
 			s.trace.SweepDegrees = append(s.trace.SweepDegrees, dbar)
 		}
@@ -172,7 +173,7 @@ func (s *Solver) solveSlack1(inst instance, depth int) ([]int, local.Stats, erro
 			if 2*beta >= dbar && dbar > s.params.BaseDegree {
 				s.trace.BetaBailouts++
 			}
-			st, err := s.finishBase(inst, cur, colors, sideIdxAll)
+			st, err := s.finishBase(inst, cur, colors)
 			seq(&stats, st)
 			if err != nil {
 				return nil, stats, err
@@ -182,22 +183,19 @@ func (s *Solver) solveSlack1(inst instance, depth int) ([]int, local.Stats, erro
 		s.trace.OuterSweeps++
 
 		local.SetSpanLabel(s.run, "defective")
-		def, err := defective.Color(inst.pairs, cur, beta, s.baseCols, s.baseX, s.run)
+		def, err := defective.Color(curSys, beta, s.initColors(pick(inst.items, cur)), s.baseX, s.run)
 		if err != nil {
 			return nil, stats, err
 		}
 		seq(&stats, def.Stats)
 		s.trace.DefectiveCalls++
 
-		degSnap := activeDegrees(inst.pairs, cur, nil)
+		classes := make([][]int32, def.Palette) // positions in cur, ascending
+		for i, class := range def.Colors {
+			classes[class] = append(classes[class], int32(i))
+		}
 		colored := 0
-		for class := 0; class < def.Palette; class++ {
-			var members []int
-			for e := 0; e < m; e++ {
-				if cur[e] && def.Colors[e] == class {
-					members = append(members, e)
-				}
-			}
+		for class, members := range classes {
 			if len(members) == 0 {
 				continue
 			}
@@ -205,42 +203,38 @@ func (s *Solver) solveSlack1(inst instance, depth int) ([]int, local.Stats, erro
 			// prune their lists, and mark themselves active if more than
 			// half their (sweep-start) degree remains available.
 			stats.Rounds++
-			subActive := make([]bool, m)
-			subLists := make([][]int, m)
-			marked := 0
-			for _, e := range members {
-				pruned := s.prunedList(inst, colors, sideIdxAll, e)
-				if 2*len(pruned) > degSnap[e] {
-					subActive[e] = true
-					subLists[e] = pruned
-					marked++
+			var marked []int32
+			var lists [][]int
+			for _, i := range members {
+				k := cur[i]
+				if pruned := s.prunedList(inst, colors, k); 2*len(pruned) > curSys.Degree(int(i)) {
+					marked = append(marked, k)
+					lists = append(lists, pruned)
 				}
 			}
-			if marked == 0 {
+			if len(marked) == 0 {
 				continue
 			}
+			sub := inst.sub(marked, lists)
 			if s.params.Strict {
 				// Lemma 4.2's slack guarantee for the class instance:
 				// |Le| > β · deg_sub(e).
-				subDeg := activeDegrees(inst.pairs, subActive, nil)
-				for _, e := range members {
-					if subActive[e] && len(subLists[e]) <= beta*subDeg[e] {
+				for i, l := range lists {
+					if d := sub.sys.Degree(i); len(l) <= beta*d {
 						return nil, stats, fmt.Errorf("core: class %d item %d has |L|=%d ≤ β·deg'=%d·%d (Lemma 4.2 violated)",
-							class, e, len(subLists[e]), beta, subDeg[e])
+							class, sub.items[i], len(l), beta, d)
 					}
 				}
 			}
-			subInst := instance{pairs: inst.pairs, active: subActive, lists: subLists, c: inst.c}
-			subColors, st, err := s.solveSlackS(subInst, depth)
+			subColors, st, err := s.solveSlackS(sub, depth)
 			seq(&stats, st)
 			if err != nil {
 				return nil, stats, err
 			}
 			s.trace.ClassInstances++
-			for _, e := range members {
-				if subActive[e] && subColors[e] >= 0 {
-					colors[e] = subColors[e]
-					cur[e] = false
+			for i, k := range marked {
+				if subColors[i] >= 0 {
+					colors[k] = subColors[i]
 					colored++
 				}
 			}
@@ -248,64 +242,64 @@ func (s *Solver) solveSlack1(inst instance, depth int) ([]int, local.Stats, erro
 		if colored == 0 {
 			// Practical-mode stall: every marked edge was deferred. The
 			// global invariant keeps the remainder base-solvable.
-			st, err := s.finishBase(inst, cur, colors, sideIdxAll)
+			st, err := s.finishBase(inst, cur, colors)
 			seq(&stats, st)
 			if err != nil {
 				return nil, stats, err
 			}
 			break
 		}
+		uncolored := cur[:0]
+		for _, k := range cur {
+			if colors[k] < 0 {
+				uncolored = append(uncolored, k)
+			}
+		}
+		cur = uncolored
 	}
 	return colors, stats, nil
 }
 
-// finishBase colors every remaining edge with the base solver after pruning
-// lists against the colors already assigned in this scope.
-func (s *Solver) finishBase(inst instance, cur []bool, colors []int, sideIdxAll map[int64][]int32) (local.Stats, error) {
+// finishBase colors the members cur with the base solver after pruning
+// their lists against the colors already assigned in this scope.
+func (s *Solver) finishBase(inst instance, cur []int32, colors []int) (local.Stats, error) {
 	var stats local.Stats
-	if !anyActive(cur) {
-		return stats, nil
-	}
-	m := len(inst.pairs)
-	lists := make([][]int, m)
-	for e := 0; e < m; e++ {
-		if cur[e] {
-			lists[e] = s.prunedList(inst, colors, sideIdxAll, e)
-		}
+	lists := make([][]int, len(cur))
+	for i, k := range cur {
+		lists[i] = s.prunedList(inst, colors, k)
 	}
 	stats.Rounds++ // learning the neighbors' colors for the pruning
 	local.SetSpanLabel(s.run, "base")
-	got, st, err := listcolor.SolvePairs(inst.pairs, cur, lists, s.baseCols, s.baseX, s.run)
+	got, st, err := s.solveBase(inst.sub(cur, lists))
 	seq(&stats, st)
 	if err != nil {
 		return stats, fmt.Errorf("core: base solve of remainder: %w", err)
 	}
-	for e := 0; e < m; e++ {
-		if cur[e] {
-			colors[e] = got[e]
-			cur[e] = false
-		}
+	for i, k := range cur {
+		colors[k] = got[i]
 	}
 	return stats, nil
 }
 
-// prunedList returns item e's list minus the colors of its already-colored
+// prunedList returns member k's list minus the colors of its already-colored
 // neighbors in the instance (information one announcement round away).
-func (s *Solver) prunedList(inst instance, colors []int, sideIdxAll map[int64][]int32, e int) []int {
+func (s *Solver) prunedList(inst instance, colors []int, k int32) []int {
 	var used map[int]bool
-	forEachNeighbor(inst.pairs, sideIdxAll, e, func(f int) {
-		if colors[f] >= 0 {
-			if used == nil {
-				used = make(map[int]bool)
+	for _, side := range inst.sys.Key[k] {
+		for _, f := range inst.sys.Side(side) {
+			if f != k && colors[f] >= 0 {
+				if used == nil {
+					used = make(map[int]bool)
+				}
+				used[colors[f]] = true
 			}
-			used[colors[f]] = true
 		}
-	})
-	if used == nil {
-		return inst.lists[e]
 	}
-	out := make([]int, 0, len(inst.lists[e]))
-	for _, c := range inst.lists[e] {
+	if used == nil {
+		return inst.lists[k]
+	}
+	out := make([]int, 0, len(inst.lists[k]))
+	for _, c := range inst.lists[k] {
 		if !used[c] {
 			out = append(out, c)
 		}
@@ -313,100 +307,103 @@ func (s *Solver) prunedList(inst instance, colors []int, sideIdxAll map[int64][]
 	return out
 }
 
+// initColors returns the global initial coloring of the given top-level
+// items.
+func (s *Solver) initColors(items []int32) []int {
+	init := make([]int, len(items))
+	for i, e := range items {
+		init[i] = s.baseCols[e]
+	}
+	return init
+}
+
+// solveBase runs the base solver on inst, seeded with the global initial
+// coloring; it returns a color per member.
+func (s *Solver) solveBase(inst instance) ([]int, local.Stats, error) {
+	return listcolor.SolveOnTopology(inst.sys.Topology(), s.initColors(inst.items), s.baseX, inst.lists, s.run)
+}
+
 // solveSlackS implements Lemma 4.5, T(Δ̄, S, C): chain color space
 // reductions (Lemma 4.3) until the palette is at most StopPalette, then
 // solve all surviving sub-instances — they live on disjoint palettes and
-// disjoint derived key spaces, so one combined base solve covers them all
-// simultaneously.
+// disjoint derived sides, so one combined base solve covers them all
+// simultaneously. It returns a color per member, −1 for deferred ones.
 func (s *Solver) solveSlackS(inst instance, depth int) ([]int, local.Stats, error) {
-	m := len(inst.pairs)
 	var stats local.Stats
-	pairsCur := append([][2]int64(nil), inst.pairs...)
-	active := append([]bool(nil), inst.active...)
-	lists := append([][]int(nil), inst.lists...)
-	lo := make([]int, m)
+	out := make([]int, len(inst.items))
+	at := make([]int32, len(inst.items)) // member of inst behind each member of cur
+	for k := range out {
+		out[k], at[k] = -1, int32(k)
+	}
+	cur := inst
+	lo := make([]int, len(inst.items))
 	size := inst.c
 
-	for size > s.params.StopPalette && anyActive(active) {
-		dbar := maxActiveDegree(pairsCur, active)
-		p := s.params.P(dbar, inst.c)
-		p = max(2, min(p, size))
-		res, err := s.assignSubspaces(assignInput{
-			pairs: pairsCur, active: active, lists: lists, lo: lo,
-			size: size, p: p, depth: depth,
-		})
+	for size > s.params.StopPalette && len(cur.items) > 0 {
+		p := max(2, min(s.params.P(cur.sys.MaxDegree(), inst.c), size))
+		res, err := s.assignSubspaces(assignInput{inst: cur, lo: lo, size: size, p: p, depth: depth})
 		seq(&stats, res.stats)
 		if err != nil {
 			return nil, stats, err
 		}
 		s.trace.ChainLevels++
 
-		// Refine: keys, intervals and lists follow the chosen subspace.
-		intern := make(map[[2]int64]int64)
-		derive := func(key int64, j int) int64 {
-			k := [2]int64{key, int64(j)}
-			id, ok := intern[k]
-			if !ok {
-				id = int64(len(intern))
-				intern[k] = id
-			}
-			return id
-		}
-		for e := 0; e < m; e++ {
-			if !active[e] {
-				continue
-			}
-			j := res.assign[e]
+		// Refine: sides, intervals and lists follow the chosen subspace j,
+		// side s becoming side (s, j).
+		var keep []int32
+		var keys [][2]int64
+		var lists [][]int
+		var los []int
+		for k, j := range res.assign {
 			if j < 0 {
 				if s.params.Strict {
-					return nil, stats, fmt.Errorf("core: item %d unassigned in strict mode (bug)", e)
+					return nil, stats, fmt.Errorf("core: item %d unassigned in strict mode (bug)", cur.items[k])
 				}
-				active[e] = false // deferred to the enclosing sweep
-				continue
+				continue // deferred to the enclosing sweep
 			}
-			partLo := lo[e] + j*res.pt.PartSize
-			partHi := partLo + res.pt.PartSize
-			iLo := sort.SearchInts(lists[e], partLo)
-			iHi := sort.SearchInts(lists[e], partHi)
-			lists[e] = lists[e][iLo:iHi]
-			lo[e] = partLo
-			pairsCur[e] = [2]int64{derive(pairsCur[e][0], j), derive(pairsCur[e][1], j)}
+			partLo := lo[k] + j*res.pt.PartSize
+			l := cur.lists[k]
+			key := cur.sys.Key[k]
+			keep = append(keep, int32(k))
+			keys = append(keys, [2]int64{int64(key[0])<<32 | int64(j), int64(key[1])<<32 | int64(j)})
+			lists = append(lists, l[sort.SearchInts(l, partLo):sort.SearchInts(l, partLo+res.pt.PartSize)])
+			los = append(los, partLo)
 		}
-		size = res.pt.PartSize
+		cur = instance{items: pick(cur.items, keep), sys: local.NewPairs(keys), lists: lists, c: inst.c}
+		at, lo, size = pick(at, keep), los, res.pt.PartSize
 	}
 
-	// Drop items whose slack budget ran out (never in strict mode), then
-	// run the combined base solve.
+	// Drop items whose slack budget ran out (never in strict mode), with
+	// the degrees of each pass's start, then run the combined base solve.
 	for {
-		deg := activeDegrees(pairsCur, active, nil)
-		changed := false
-		for e := 0; e < m; e++ {
-			if active[e] && len(lists[e]) <= deg[e] {
+		var keep []int32
+		for k, l := range cur.lists {
+			if deg := cur.sys.Degree(k); len(l) <= deg {
 				if s.params.Strict {
 					return nil, stats, fmt.Errorf("core: chain end item %d has |L|=%d ≤ deg=%d (slack budget exhausted in strict mode)",
-						e, len(lists[e]), deg[e])
+						cur.items[k], len(l), deg)
 				}
-				active[e] = false
 				s.trace.Deferred++
-				changed = true
+				continue
 			}
+			keep = append(keep, int32(k))
 		}
-		if !changed {
+		if len(keep) == len(cur.items) {
 			break
 		}
+		cur, at = cur.sub(keep, pick(cur.lists, keep)), pick(at, keep)
 	}
-	if !anyActive(active) {
-		out := make([]int, m)
-		for e := range out {
-			out[e] = -1
-		}
+	if len(cur.items) == 0 {
 		return out, stats, nil
 	}
 	local.SetSpanLabel(s.run, "base")
-	out, st, err := listcolor.SolvePairs(pairsCur, active, lists, s.baseCols, s.baseX, s.run)
+	got, st, err := s.solveBase(cur)
 	seq(&stats, st)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: chain-end base solve: %w", err)
+	}
+	for i, k := range at {
+		out[k] = got[i]
 	}
 	return out, stats, nil
 }

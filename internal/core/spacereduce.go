@@ -5,27 +5,24 @@ import (
 	"math"
 	"sort"
 
-	"github.com/distec/distec/internal/listcolor"
 	"github.com/distec/distec/internal/local"
 )
 
 // assignInput is one invocation of the list color space reduction
-// (Lemma 4.3) over the current conflict system. Each active item owns a
-// palette interval [lo[i], lo[i]+size) — items sharing a side key always
-// share an interval, because the Lemma 4.5 chain refines side keys and
-// intervals together — and a list of absolute colors inside its interval.
+// (Lemma 4.3) over the current conflict system. Each member owns a palette
+// interval [lo[k], lo[k]+size) — members sharing a side always share an
+// interval, because the Lemma 4.5 chain refines sides and intervals
+// together — and a list of absolute colors inside its interval.
 type assignInput struct {
-	pairs  [][2]int64
-	active []bool
-	lists  [][]int
-	lo     []int
-	size   int
-	p      int
-	depth  int
+	inst  instance
+	lo    []int
+	size  int
+	p     int
+	depth int
 }
 
-// assignResult carries the chosen subspace index per item (−1 for inactive
-// or deferred items), the partition used, and the LOCAL cost.
+// assignResult carries the chosen subspace index per member (−1 for
+// deferred members), the partition used, and the LOCAL cost.
 type assignResult struct {
 	assign []int
 	pt     Partition
@@ -33,46 +30,40 @@ type assignResult struct {
 }
 
 // assignSubspaces implements Lemma 4.3: assign one of the q ≤ 2p palette
-// subspaces to every active item so that Eq. (2) holds —
+// subspaces to every member so that Eq. (2) holds —
 // deg′(e) ≤ 24·H_q·log p · |L′e|/|Le| · deg(e) — in
 // (log p)·(1 + T(2p−1, 1, 2p)) rounds.
 func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	local.SetSpanLabel(s.run, "chain")
-	m := len(in.pairs)
+	inst := in.inst
+	n := len(inst.items)
 	pt := MakePartition(in.size, in.p)
 	q := pt.Q
-	res := assignResult{assign: make([]int, m), pt: pt}
-	for i := range res.assign {
-		res.assign[i] = -1
+	res := assignResult{assign: make([]int, n), pt: pt}
+	for k := range res.assign {
+		res.assign[k] = -1
 	}
 
-	// Side index and active degrees of the current system.
-	sideIdx := buildSideIndex(in.pairs, in.active)
-	deg := activeDegrees(in.pairs, in.active, sideIdx)
-
-	// Per-item partition counts and levels (all local computation).
-	counts := make([][]int, m)
-	level := make([]int, m)
+	// Per-member partition counts and levels (all local computation).
+	counts := make([][]int, n)
+	level := make([]int, n)
 	maxLevel := int(math.Log2(float64(q)))
-	for e := 0; e < m; e++ {
-		if !in.active[e] {
-			continue
-		}
-		offsets := make([]int, len(in.lists[e]))
-		for i, c := range in.lists[e] {
-			offsets[i] = c - in.lo[e]
+	for k, l := range inst.lists {
+		offsets := make([]int, len(l))
+		for i, c := range l {
+			offsets[i] = c - in.lo[k]
 			if offsets[i] < 0 || offsets[i] >= in.size {
-				return res, fmt.Errorf("core: item %d color %d outside its interval [%d,%d)", e, c, in.lo[e], in.lo[e]+in.size)
+				return res, fmt.Errorf("core: item %d color %d outside its interval [%d,%d)", inst.items[k], c, in.lo[k], in.lo[k]+in.size)
 			}
 		}
-		counts[e] = pt.Counts(offsets)
-		l, ok := Level(counts[e], len(in.lists[e]))
+		counts[k] = pt.Counts(offsets)
+		lv, ok := Level(counts[k], len(l))
 		if !ok {
-			return res, fmt.Errorf("core: item %d has no level (Lemma 4.4 violated — bug)", e)
+			return res, fmt.Errorf("core: item %d has no level (Lemma 4.4 violated — bug)", inst.items[k])
 		}
-		level[e] = l
-		if l < len(s.trace.LevelHistogram) {
-			s.trace.LevelHistogram[l]++
+		level[k] = lv
+		if lv < len(s.trace.LevelHistogram) {
+			s.trace.LevelHistogram[lv]++
 		}
 	}
 
@@ -80,23 +71,21 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	// the largest intersection; no phases, no Eq. (2) guarantee (the audit
 	// below still measures the damage, but never asserts).
 	if s.params.DirectAssignment {
-		for e := 0; e < m; e++ {
-			if in.active[e] {
-				res.assign[e] = sortedByCountDesc(counts[e])[0]
-				s.trace.DirectAssigns++
-			}
+		for k := range res.assign {
+			res.assign[k] = sortedByCountDesc(counts[k])[0]
+			s.trace.DirectAssigns++
 		}
 		res.stats.Rounds++ // announcing the choice
-		return res, s.auditEq2(in, res, counts, deg, sideIdx, false)
+		return res, s.auditEq2(in, res, counts, false)
 	}
 
 	// Levels ≤ 3: pick the largest intersection directly. Even if every
 	// neighbor chose the same subspace, |L′| ≥ |L|/(16·H_q) satisfies
 	// Eq. (2). One announcement round, charged at the end alongside the
 	// phase schedule.
-	for e := 0; e < m; e++ {
-		if in.active[e] && level[e] <= 3 {
-			res.assign[e] = sortedByCountDesc(counts[e])[0]
+	for k := range res.assign {
+		if level[k] <= 3 {
+			res.assign[k] = sortedByCountDesc(counts[k])[0]
 			s.trace.DirectAssigns++
 		}
 	}
@@ -105,16 +94,16 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	// E(1): level > 3 and deg ≥ 2^level, processed in phases ℓ = 4..⌊log q⌋.
 	// E(2): level > 3 and deg < 2^level, processed after all phases.
 	for l := 4; l <= maxLevel; l++ {
-		var members []int
-		for e := 0; e < m; e++ {
-			if in.active[e] && level[e] == l && deg[e] >= 1<<l {
-				members = append(members, e)
+		var members []int32
+		for k := range res.assign {
+			if level[k] == l && inst.sys.Degree(k) >= 1<<l {
+				members = append(members, int32(k))
 			}
 		}
 		if len(members) == 0 {
 			continue
 		}
-		st, err := s.runPhase(in, res.assign, counts, deg, sideIdx, members, l)
+		st, err := s.runPhase(in, res.assign, counts, members, l, q)
 		seq(&res.stats, st)
 		if err != nil {
 			return res, err
@@ -122,14 +111,14 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	}
 
 	// E(2).
-	var e2 []int
-	for e := 0; e < m; e++ {
-		if in.active[e] && level[e] > 3 && deg[e] < 1<<level[e] {
-			e2 = append(e2, e)
+	var e2 []int32
+	for k := range res.assign {
+		if level[k] > 3 && inst.sys.Degree(k) < 1<<level[k] {
+			e2 = append(e2, int32(k))
 		}
 	}
 	if len(e2) > 0 {
-		st, err := s.runE2(in, res.assign, counts, level, sideIdx, e2)
+		st, err := s.runE2(in, res.assign, counts, level, e2, q)
 		seq(&res.stats, st)
 		if err != nil {
 			return res, err
@@ -138,64 +127,67 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 
 	// Eq. (2) audit: measure the worst degradation factor and, in strict
 	// mode, assert the paper's bound.
-	return res, s.auditEq2(in, res, counts, deg, sideIdx, s.params.Strict)
+	return res, s.auditEq2(in, res, counts, s.params.Strict)
 }
 
-// auditEq2 measures the Eq. (2) degradation factor of every assigned item
+// auditEq2 measures the Eq. (2) degradation factor of every assigned member
 // and, when assert is set, errors if the paper's bound
 // 24·H_q·log p · |L′e|/|Le| is exceeded.
-func (s *Solver) auditEq2(in assignInput, res assignResult, counts [][]int, deg []int, sideIdx map[int64][]int32, assert bool) error {
+func (s *Solver) auditEq2(in assignInput, res assignResult, counts [][]int, assert bool) error {
 	bound := 24 * Harmonic(res.pt.Q) * math.Max(1, math.Log2(float64(in.p)))
-	for e := range in.pairs {
-		if !in.active[e] || res.assign[e] < 0 || deg[e] == 0 {
+	sys := in.inst.sys
+	for k, j := range res.assign {
+		deg := sys.Degree(k)
+		if j < 0 || deg == 0 {
 			continue
 		}
 		degPrime := 0
-		forEachNeighbor(in.pairs, sideIdx, e, func(f int) {
-			if res.assign[f] == res.assign[e] {
-				degPrime++
+		for _, side := range sys.Key[k] {
+			for _, f := range sys.Side(side) {
+				if int(f) != k && res.assign[f] == j {
+					degPrime++
+				}
 			}
-		})
-		newLen := counts[e][res.assign[e]]
-		if newLen == 0 {
-			return fmt.Errorf("core: item %d assigned empty subspace %d (bug)", e, res.assign[e])
 		}
-		factor := float64(degPrime) * float64(len(in.lists[e])) / (float64(newLen) * float64(deg[e]))
+		newLen := counts[k][j]
+		if newLen == 0 {
+			return fmt.Errorf("core: item %d assigned empty subspace %d (bug)", in.inst.items[k], j)
+		}
+		listLen := len(in.inst.lists[k])
+		factor := float64(degPrime) * float64(listLen) / (float64(newLen) * float64(deg))
 		if factor > s.trace.Eq2Worst {
 			s.trace.Eq2Worst = factor
 		}
 		if assert && factor > bound+1e-9 {
 			return fmt.Errorf("core: Eq.(2) violated at item %d: factor %.3f > bound %.3f (deg=%d deg'=%d |L|=%d |L'|=%d q=%d p=%d)",
-				e, factor, bound, deg[e], degPrime, len(in.lists[e]), newLen, res.pt.Q, in.p)
+				in.inst.items[k], factor, bound, deg, degPrime, listLen, newLen, res.pt.Q, in.p)
 		}
 	}
 	return nil
 }
 
 // runPhase executes phase ℓ of the E(1) machinery: compute Je for every
-// member, split nodes into virtual copies of ≤ 2^(ℓ−2) phase edges, and
+// member, split sides into virtual copies of ≤ 2^(ℓ−2) phase members, and
 // solve the (deg(e)+1)-list coloring on the virtual graph with palette q.
-func (s *Solver) runPhase(in assignInput, assign []int, counts [][]int, deg []int, sideIdx map[int64][]int32, members []int, l int) (local.Stats, error) {
+func (s *Solver) runPhase(in assignInput, assign []int, counts [][]int, members []int32, l, q int) (local.Stats, error) {
 	var stats local.Stats
 	stats.Rounds++ // learn neighbors' prior assignments (Je determination)
 	s.trace.PhaseInstances++
-
-	isMember := make(map[int]bool, len(members))
-	for _, e := range members {
-		isMember[e] = true
-	}
+	inst := in.inst
 
 	// Je: candidate subspaces with large intersection and few prior takers.
-	je := make(map[int][]int, len(members))
-	for _, e := range members {
-		takers := make([]int, len(counts[e]))
-		forEachNeighbor(in.pairs, sideIdx, e, func(f int) {
-			if assign[f] >= 0 {
-				takers[assign[f]]++
+	je := make([][]int, len(members))
+	for i, k := range members {
+		takers := make([]int, len(counts[k]))
+		for _, side := range inst.sys.Key[k] {
+			for _, f := range inst.sys.Side(side) {
+				if f != k && assign[f] >= 0 {
+					takers[assign[f]]++
+				}
 			}
-		})
-		cands := LevelCandidates(counts[e], len(in.lists[e]), l)
-		budget := deg[e] / (1 << (l - 1))
+		}
+		cands := LevelCandidates(counts[k], len(inst.lists[k]), l)
+		budget := inst.sys.Degree(int(k)) / (1 << (l - 1))
 		var keep []int
 		for _, j := range cands {
 			if takers[j] <= budget {
@@ -205,85 +197,86 @@ func (s *Solver) runPhase(in assignInput, assign []int, counts [][]int, deg []in
 		sort.Ints(keep)
 		if s.params.Strict && len(keep) < 1<<(l-1) {
 			return stats, fmt.Errorf("core: phase %d item %d has |Je|=%d < 2^(ℓ−1)=%d (Lemma 4.3 bookkeeping violated)",
-				l, e, len(keep), 1<<(l-1))
+				l, inst.items[k], len(keep), 1<<(l-1))
 		}
-		je[e] = keep
+		je[i] = keep
 	}
 
-	// Virtual graph: each side key splits its phase members into groups of
-	// at most 2^(ℓ−2); the virtual line-graph degree is ≤ 2^(ℓ−1)−2.
-	groupSize := 1 << (l - 2)
-	virtualPairs, active := buildVirtualPairs(in.pairs, sideIdx, isMember, groupSize, len(in.pairs))
-
-	// The assignment instance: lists are the Je sets over palette {0..q−1}.
-	lists := make([][]int, len(in.pairs))
-	for _, e := range members {
-		lists[e] = je[e]
-	}
-	vdeg := activeDegrees(virtualPairs, active, nil)
-	for _, e := range members {
-		if vdeg[e] > (1<<(l-1))-2 {
-			return stats, fmt.Errorf("core: phase %d virtual degree %d exceeds 2^(ℓ−1)−2=%d (bug)", l, vdeg[e], (1<<(l-1))-2)
+	// The virtual graph's degree is ≤ 2^(ℓ−1)−2; the assignment instance's
+	// lists are the Je sets over palette {0..q−1}.
+	virtual := virtualPairs(inst.sys.Sub(members), 1<<(l-2))
+	var kept []int32
+	var lists [][]int
+	for i, k := range members {
+		vdeg := virtual.Degree(i)
+		if vdeg > (1<<(l-1))-2 {
+			return stats, fmt.Errorf("core: phase %d virtual degree %d exceeds 2^(ℓ−1)−2=%d (bug)", l, vdeg, (1<<(l-1))-2)
 		}
-		if len(je[e]) <= vdeg[e] {
+		if len(je[i]) <= vdeg {
 			if s.params.Strict {
-				return stats, fmt.Errorf("core: phase %d item %d: |Je|=%d ≤ virtual degree %d", l, e, len(je[e]), vdeg[e])
+				return stats, fmt.Errorf("core: phase %d item %d: |Je|=%d ≤ virtual degree %d", l, inst.items[k], len(je[i]), vdeg)
 			}
 			// Practical mode: defer this item; shrink its footprint.
 			s.trace.Deferred++
-			active[e] = false
-			isMember[e] = false
+			continue
 		}
+		kept = append(kept, int32(i))
+		lists = append(lists, je[i])
 	}
 
-	choice, st, err := s.solveVirtual(instance{pairs: virtualPairs, active: active, lists: lists, c: MakePartition(in.size, in.p).Q}, in.depth)
+	vinst := instance{items: pick(inst.items, pick(members, kept)), sys: virtual.Sub(kept), lists: lists, c: q}
+	choice, st, err := s.solveVirtual(vinst, in.depth)
 	seq(&stats, st)
 	if err != nil {
 		return stats, err
 	}
-	for _, e := range members {
-		if isMember[e] && choice[e] >= 0 {
-			assign[e] = choice[e]
-		} else if isMember[e] {
+	for i, mi := range kept {
+		if choice[i] >= 0 {
+			assign[members[mi]] = choice[i]
+		} else {
 			s.trace.Deferred++
 		}
 	}
 	return stats, nil
 }
 
-// runE2 assigns subspaces to the low-degree, high-level items after all
+// runE2 assigns subspaces to the low-degree, high-level members after all
 // phases: each picks among its > deg(e) non-empty candidate subspaces one
 // that no already-assigned neighbor took, via a (deg+1)-list coloring over
 // the E(2) subsystem with palette q.
-func (s *Solver) runE2(in assignInput, assign []int, counts [][]int, level []int, sideIdx map[int64][]int32, e2 []int) (local.Stats, error) {
+func (s *Solver) runE2(in assignInput, assign []int, counts [][]int, level []int, e2 []int32, q int) (local.Stats, error) {
 	var stats local.Stats
 	stats.Rounds++ // learn the subspaces taken by assigned neighbors
 	s.trace.E2Instances++
 
-	m := len(in.pairs)
-	active := make([]bool, m)
-	lists := make([][]int, m)
-	inE2 := make(map[int]bool, len(e2))
-	for _, e := range e2 {
-		inE2[e] = true
+	inst := in.inst
+	inE2 := make([]bool, len(inst.items))
+	for _, k := range e2 {
+		inE2[k] = true
 	}
-	for {
-		changed := false
-		for _, e := range e2 {
-			if !inE2[e] {
+	lists := make([][]int, len(e2))
+	for changed := true; changed; {
+		changed = false
+		for i, k := range e2 {
+			if !inE2[k] {
 				continue
 			}
-			taken := make([]bool, len(counts[e]))
+			taken := make([]bool, len(counts[k]))
 			degE2 := 0
-			forEachNeighbor(in.pairs, sideIdx, e, func(f int) {
-				if assign[f] >= 0 {
-					taken[assign[f]] = true
-				} else if inE2[f] {
-					degE2++
+			for _, side := range inst.sys.Key[k] {
+				for _, f := range inst.sys.Side(side) {
+					if f == k {
+						continue
+					}
+					if assign[f] >= 0 {
+						taken[assign[f]] = true
+					} else if inE2[f] {
+						degE2++
+					}
 				}
-			})
+			}
 			var free []int
-			for _, j := range LevelCandidates(counts[e], len(in.lists[e]), level[e]) {
+			for _, j := range LevelCandidates(counts[k], len(inst.lists[k]), level[k]) {
 				if !taken[j] {
 					free = append(free, j)
 				}
@@ -291,40 +284,38 @@ func (s *Solver) runE2(in assignInput, assign []int, counts [][]int, level []int
 			sort.Ints(free)
 			if len(free) <= degE2 {
 				if s.params.Strict {
-					return stats, fmt.Errorf("core: E(2) item %d has %d free subspaces for E2-degree %d", e, len(free), degE2)
+					return stats, fmt.Errorf("core: E(2) item %d has %d free subspaces for E2-degree %d", inst.items[k], len(free), degE2)
 				}
 				s.trace.Deferred++
-				inE2[e] = false // defer: removing it can only help others
+				inE2[k] = false // defer: removing it can only help others
 				changed = true
 				continue
 			}
-			active[e] = true
-			lists[e] = free
-		}
-		if !changed {
-			break
-		}
-		for e := range active {
-			active[e] = false
+			lists[i] = free
 		}
 	}
-	for _, e := range e2 {
-		if inE2[e] {
-			active[e] = true
+	var keep []int32
+	var keptLists [][]int
+	for i, k := range e2 {
+		if inE2[k] {
+			keep = append(keep, k)
+			keptLists = append(keptLists, lists[i])
 		}
 	}
-	if !anyActive(active) {
+	if len(keep) == 0 {
 		return stats, nil
 	}
 	local.SetSpanLabel(s.run, "chain")
-	choice, st, err := listcolor.SolvePairs(in.pairs, active, lists, s.baseCols, s.baseX, s.run)
+	sub := inst.sub(keep, keptLists)
+	sub.c = q
+	choice, st, err := s.solveBase(sub)
 	seq(&stats, st)
 	if err != nil {
 		return stats, fmt.Errorf("core: E(2) assignment: %w", err)
 	}
-	for _, e := range e2 {
-		if active[e] && choice[e] >= 0 {
-			assign[e] = choice[e]
+	for i, k := range keep {
+		if choice[i] >= 0 {
+			assign[k] = choice[i]
 		}
 	}
 	return stats, nil
@@ -335,119 +326,23 @@ func (s *Solver) runE2(in assignInput, assign []int, counts [][]int, level []int
 // (realizing the Δ̄ → 2√Δ̄ outer recursion of §4.3); small ones go to the
 // base solver.
 func (s *Solver) solveVirtual(inst instance, depth int) ([]int, local.Stats, error) {
-	dbar := maxActiveDegree(inst.pairs, inst.active)
-	if dbar > s.params.BaseDegree && depth+1 < s.params.MaxDepth {
+	if inst.sys.MaxDegree() > s.params.BaseDegree && depth+1 < s.params.MaxDepth {
 		s.trace.VirtualRecursion++
 		return s.solveSlack1(inst, depth+1)
 	}
 	local.SetSpanLabel(s.run, "base")
-	return listcolor.SolvePairs(inst.pairs, inst.active, inst.lists, s.baseCols, s.baseX, s.run)
+	return s.solveBase(inst)
 }
 
-// buildVirtualPairs splits every side key into virtual copies holding at
-// most groupSize phase members each (Figure 6), returning the virtual pair
-// system over the same item universe and the membership mask.
-func buildVirtualPairs(pairs [][2]int64, sideIdx map[int64][]int32, isMember map[int]bool, groupSize, m int) ([][2]int64, []bool) {
-	virtual := make([][2]int64, m)
-	active := make([]bool, m)
-	intern := make(map[[2]int64]int64)
-	derive := func(key int64, group int) int64 {
-		k := [2]int64{key, int64(group)}
-		id, ok := intern[k]
-		if !ok {
-			id = int64(len(intern))
-			intern[k] = id
-		}
-		return id
-	}
-	// Iterate side keys in sorted order: derive hands out intern IDs in
-	// first-seen order, so walking the map directly would mint virtual
-	// pair IDs in map-iteration order — nondeterministic across runs,
-	// which breaks cross-engine equivalence and WAL replay of any solve
-	// that recurses through here.
-	keys := make([]int64, 0, len(sideIdx))
-	for key := range sideIdx {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		rank := 0
-		for _, it := range sideIdx[key] {
-			e := int(it)
-			if !isMember[e] {
-				continue
-			}
-			vk := derive(key, rank/groupSize)
-			if pairs[e][0] == key {
-				virtual[e][0] = vk
-			} else {
-				virtual[e][1] = vk
-			}
-			rank++
+// virtualPairs splits every side of the phase members' system into
+// virtual copies holding at most groupSize members each, in side order
+// (Figure 6): a member's rank at a side is its position there.
+func virtualPairs(phase *local.Pairs, groupSize int32) *local.Pairs {
+	keys := make([][2]int64, len(phase.Key))
+	for i, pos := range phase.Pos {
+		for x, side := range phase.Key[i] {
+			keys[i][x] = int64(side)<<32 | int64(pos[x]/groupSize)
 		}
 	}
-	for e := range virtual {
-		if isMember[e] {
-			active[e] = true
-		}
-	}
-	return virtual, active
-}
-
-// buildSideIndex returns the side-key incidence lists of the active items.
-func buildSideIndex(pairs [][2]int64, active []bool) map[int64][]int32 {
-	idx := make(map[int64][]int32)
-	for e, pr := range pairs {
-		if active == nil || active[e] {
-			idx[pr[0]] = append(idx[pr[0]], int32(e))
-			idx[pr[1]] = append(idx[pr[1]], int32(e))
-		}
-	}
-	return idx
-}
-
-// activeDegrees returns each active item's conflict degree within the
-// active subsystem. sideIdx may be nil to compute it internally.
-func activeDegrees(pairs [][2]int64, active []bool, sideIdx map[int64][]int32) []int {
-	if sideIdx == nil {
-		sideIdx = buildSideIndex(pairs, active)
-	}
-	deg := make([]int, len(pairs))
-	for e, pr := range pairs {
-		if active == nil || active[e] {
-			deg[e] = len(sideIdx[pr[0]]) + len(sideIdx[pr[1]]) - 2
-		}
-	}
-	return deg
-}
-
-// forEachNeighbor calls fn for every active item sharing a side key with e
-// (an item adjacent via both keys is visited twice, matching multi-links).
-func forEachNeighbor(pairs [][2]int64, sideIdx map[int64][]int32, e int, fn func(f int)) {
-	for _, key := range pairs[e] {
-		for _, it := range sideIdx[key] {
-			if int(it) != e {
-				fn(int(it))
-			}
-		}
-	}
-}
-
-func maxActiveDegree(pairs [][2]int64, active []bool) int {
-	d := 0
-	for _, x := range activeDegrees(pairs, active, nil) {
-		if x > d {
-			d = x
-		}
-	}
-	return d
-}
-
-func anyActive(active []bool) bool {
-	for _, a := range active {
-		if a {
-			return true
-		}
-	}
-	return false
+	return local.NewPairs(keys)
 }

@@ -12,6 +12,8 @@
 //  3. Within one group, at most two edges share a temporary color, so edges
 //     sharing both a group and a temporary color form disjoint paths and
 //     cycles; these are 3-colored in O(log* X) rounds (package linial).
+//     The path structure is itself a pair system: each edge occupies one
+//     (endpoint, group there, temporary color) key per endpoint.
 //  4. The final color is the triple (i, j, pathColor) — at most
 //     3·4β(4β+1)/2 = O(β²) colors.
 //
@@ -20,10 +22,11 @@
 // component), so each endpoint contributes at most ⌈deg(u)/4β⌉−1 defects:
 // defect(e) ≤ ⌈deg(u)/4β⌉+⌈deg(v)/4β⌉−2 ≤ deg(e)/2β.
 //
-// The implementation operates on pair systems (items occupying two side
-// keys, conflicting when they share a key) so that the paper's recursion can
-// apply it to ordinary graphs, to subgraphs of uncolored edges, and to the
-// virtual graphs of §4.2 alike. ColorGraph adapts a graph.Graph.
+// The implementation operates on pair systems (local.Pairs: items
+// occupying two sides, conflicting when they share one) so that the
+// paper's recursion can apply it to ordinary graphs, to subgraphs of
+// uncolored edges, and to the virtual graphs of §4.2 alike. ColorGraph
+// adapts a graph.Graph.
 package defective
 
 import (
@@ -34,10 +37,10 @@ import (
 	"github.com/distec/distec/internal/local"
 )
 
-// Result carries a defective edge coloring of the active items.
+// Result carries a defective edge coloring.
 type Result struct {
-	// Colors maps item index to the defective color in [0, Palette);
-	// −1 for inactive items.
+	// Colors maps item index to the defective color in [0, Palette)
+	// (ColorGraph: EdgeID, −1 for inactive edges).
 	Colors []int
 	// Palette is the number of possible colors: 3·4β(4β+1)/2.
 	Palette int
@@ -61,159 +64,79 @@ func DefectBound(du, dv, beta int) int {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// Color computes the defective edge coloring of the active items of the pair
-// system. active may be nil, meaning all items. Degrees, groups and the
-// defect guarantee all refer to the subsystem induced by the active items.
+// Color computes the defective edge coloring of the pair system sys.
+// Degrees, groups and the defect guarantee all refer to its items; a
+// caller coloring a subset builds the subset's own system (local.Pairs.Sub
+// or local.ActivePairs).
 //
 // initColors optionally provides a proper coloring of the conflict system
-// with initX colors, seeding the internal 3-coloring so its log* term is
-// paid on initX rather than on len(pairs); the paper's recursion hands down
-// the global O(Δ̄²)-coloring here. Pass nil to fall back to item indices
-// (X = len(pairs)).
-func Color(pairs [][2]int64, active []bool, beta int, initColors []int, initX int, run local.Engine) (*Result, error) {
+// with initX colors, indexed by item, seeding the internal 3-coloring so its
+// log* term is paid on initX rather than on the item count; the paper's
+// recursion hands down the global O(Δ̄²)-coloring here. Pass nil to fall
+// back to item indices (X = the item count).
+func Color(sys *local.Pairs, beta int, initColors []int, initX int, run local.Engine) (*Result, error) {
 	if beta < 1 {
 		return nil, fmt.Errorf("defective: beta %d < 1", beta)
 	}
 	if run == nil {
 		run = local.Sequential
 	}
-	m := len(pairs)
-	if active != nil {
-		// Compact to the active items so topology construction never pays
-		// for inactive ones; results are scattered back at the end.
-		orig := make([]int, 0, m)
-		for e := 0; e < m; e++ {
-			if active[e] {
-				orig = append(orig, e)
-			}
+	n := len(sys.Key)
+	init := initColors
+	if init == nil {
+		init, initX = make([]int, n), n
+		for i := range init {
+			init[i] = i
 		}
-		if len(orig) < m {
-			cPairs := make([][2]int64, len(orig))
-			var cInit []int
-			if initColors != nil {
-				cInit = make([]int, len(orig))
-			}
-			for i, oe := range orig {
-				cPairs[i] = pairs[oe]
-				if cInit != nil {
-					cInit[i] = initColors[oe]
-				}
-			}
-			sub, err := Color(cPairs, nil, beta, cInit, initX, run)
-			if err != nil {
-				return nil, err
-			}
-			colors := make([]int, m)
-			for e := range colors {
-				colors[e] = -1
-			}
-			for i, oe := range orig {
-				colors[oe] = sub.Colors[i]
-			}
-			return &Result{Colors: colors, Palette: sub.Palette, Stats: sub.Stats}, nil
-		}
-	}
-	if active == nil {
-		active = make([]bool, m)
-		for e := range active {
-			active[e] = true
-		}
+	} else if len(init) != n {
+		return nil, fmt.Errorf("defective: initColors has %d entries for %d items", len(init), n)
 	}
 	b4 := 4 * beta
 
-	// Step 1 (one exchange round in the node model): every side key ranks
-	// its active items; each active item learns its rank at both sides.
-	// This is purely side-local information.
-	// An item's rank at a side key is the number of earlier active items
-	// incident to that key, so one ordered pass over pairs with per-key
-	// counters computes it directly — no intermediate per-key lists, and
-	// no map iteration for ordering to leak through.
-	rankAt := make([][2]int, m) // rank among active items at side A / side B
-	sideCount := make(map[int64]int)
-	for e, pr := range pairs {
-		if active[e] {
-			rankAt[e][0] = sideCount[pr[0]]
-			sideCount[pr[0]]++
-			rankAt[e][1] = sideCount[pr[1]]
-			sideCount[pr[1]]++
-		}
-	}
-
-	// Step 2 (local): numbers, groups and temporary colors.
-	type tmp struct {
-		lo, hi int // temporary color pair, lo ≤ hi
-		gA, gB int // group index at side A and side B
-	}
-	tmps := make([]tmp, m)
-	for e := 0; e < m; e++ {
-		if !active[e] {
-			continue
-		}
-		nA, nB := rankAt[e][0]%b4, rankAt[e][1]%b4
-		lo, hi := nA, nB
+	// Step 1 (one exchange round in the node model): every side ranks its
+	// items, and each item learns its rank at both sides — its position in
+	// the side's item list, sys.Pos.
+	// Step 2 (local): an item's number at a side is its rank mod 4β, its
+	// group there is its rank / 4β, and its temporary color is the pair
+	// (lo, hi) of its two numbers, lo ≤ hi.
+	// Step 3: two items are linked iff they share a side, their group at
+	// it and their temporary color — a pair system of its own, whose key
+	// (side s, group g, lo, hi) is named by the item at position g·4β+lo
+	// of s (at or before the item itself), which of its sides s is, and hi.
+	// Each item can evaluate this after one round in which all items
+	// announce (temporary color, group at each side) — charged below.
+	pair := make([]int, n)
+	paths := make([][2]int64, n)
+	for i, pos := range sys.Pos {
+		lo, hi := int(pos[0])%b4, int(pos[1])%b4
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		tmps[e] = tmp{lo: lo, hi: hi, gA: rankAt[e][0] / b4, gB: rankAt[e][1] / b4}
+		// Triangular index of the pair (lo, hi) with 0 ≤ lo ≤ hi < 4β.
+		pair[i] = lo*b4 - lo*(lo-1)/2 + (hi - lo)
+		for x, s := range sys.Key[i] {
+			at := sys.Side(s)[int(pos[x])/b4*b4+lo]
+			slot := 2 * int64(at)
+			if sys.Key[at][0] != s {
+				slot++
+			}
+			paths[i][x] = slot<<31 | int64(hi)
+		}
 	}
-
-	// Step 3: 3-color the conflict paths/cycles. Two active items conflict
-	// here iff they share a temporary color and a group at their shared
-	// side. Each item can evaluate this after one round in which all items
-	// announce (tmp color, group at each side) — charged below.
-	full := local.PairConflict(pairs)
-	keepLink := func(i, p int) bool {
-		me := full.Meta[i].(*local.EdgeMeta)
-		j := int(full.Ports[i][p])
-		if tmps[i].lo != tmps[j].lo || tmps[i].hi != tmps[j].hi {
-			return false
-		}
-		s := me.SharedKey(p)
-		myGroup := tmps[i].gB
-		if s == me.A {
-			myGroup = tmps[i].gA
-		}
-		theirGroup := tmps[j].gB
-		if s == pairs[j][0] {
-			theirGroup = tmps[j].gA
-		}
-		return myGroup == theirGroup
-	}
-	sub, orig, _ := local.Induced(full, active, keepLink)
-	if sub.MaxDeg > 2 {
+	topo := local.NewPairs(paths).Topology()
+	if topo.MaxDeg > 2 {
 		// The paper's §4.1 argument guarantees ≤ 2; anything else is a bug.
-		return nil, fmt.Errorf("defective: conflict structure has degree %d > 2", sub.MaxDeg)
+		return nil, fmt.Errorf("defective: conflict structure has degree %d > 2", topo.MaxDeg)
 	}
-	init := make([]int, sub.N())
-	x := initX
-	if initColors == nil {
-		x = m
-		for i, oe := range orig {
-			init[i] = oe
-		}
-	} else {
-		if len(initColors) != m {
-			return nil, fmt.Errorf("defective: initColors has %d entries for %d items", len(initColors), m)
-		}
-		for i, oe := range orig {
-			init[i] = initColors[oe]
-		}
-	}
-	three, stats, err := linial.ThreeColorPaths(sub, init, x, run)
+	three, stats, err := linial.ThreeColorPaths(topo, init, initX, run)
 	if err != nil {
 		return nil, fmt.Errorf("defective: 3-coloring conflict paths: %w", err)
 	}
 
 	// Step 4 (local): assemble the triple (lo, hi, pathColor) into a color.
-	colors := make([]int, m)
-	for e := range colors {
-		colors[e] = -1
-	}
-	for i, oe := range orig {
-		t := tmps[oe]
-		// Triangular index of the pair (lo, hi) with 0 ≤ lo ≤ hi < 4β.
-		pair := t.lo*b4 - t.lo*(t.lo-1)/2 + (t.hi - t.lo)
-		colors[oe] = pair*3 + three[i]
+	colors := make([]int, n)
+	for i := range colors {
+		colors[i] = pair[i]*3 + three[i]
 	}
 	// Cost: one round for activity ranks, one round announcing temporary
 	// colors/groups, plus the distributed 3-coloring.
@@ -221,10 +144,26 @@ func Color(pairs [][2]int64, active []bool, beta int, initColors []int, initX in
 	return &Result{Colors: colors, Palette: Palette(beta), Stats: stats}, nil
 }
 
-// ColorGraph applies Color to the edges of a graph: side keys are the
-// endpoint node IDs, so groups and degrees are exactly the paper's.
+// ColorGraph applies Color to the edges of g that active marks (all of them
+// when active is nil): side keys are the endpoint node IDs, so groups and
+// degrees are exactly the paper's among the active edges, and the 3-coloring
+// starts from each active edge's rank among them. Colors are indexed by
+// EdgeID, −1 for inactive edges.
 func ColorGraph(g *graph.Graph, active []bool, beta int, run local.Engine) (*Result, error) {
-	return Color(local.GraphPairs(g), active, beta, nil, 0, run)
+	sys, edges := local.ActivePairs(local.GraphPairs(g), active)
+	res, err := Color(sys, beta, nil, 0, run)
+	if err != nil {
+		return nil, err
+	}
+	colors := make([]int, g.M())
+	for e := range colors {
+		colors[e] = -1
+	}
+	for i, e := range edges {
+		colors[e] = res.Colors[i]
+	}
+	res.Colors = colors
+	return res, nil
 }
 
 // MaxDefect computes the maximum defect of the given coloring over the

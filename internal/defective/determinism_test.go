@@ -7,23 +7,21 @@ import (
 	"github.com/distec/distec/internal/local"
 )
 
-// TestColorDeterministic pins the rank computation restructure: activity
-// ranks are now computed by a single ordered pass with per-key counters
-// instead of building per-key item lists in a map, so repeated runs on
+// TestColorDeterministic: ranks, groups and the path system are built from
+// side lists in item order, never from map iteration, so repeated runs on
 // the same instance must agree color-for-color.
 func TestColorDeterministic(t *testing.T) {
 	g := graph.RandomRegular(48, 12, 11)
-	pairs := local.GraphPairs(g)
 	active := make([]bool, g.M())
 	for e := range active {
 		active[e] = e%5 != 0
 	}
-	first, err := Color(pairs, active, 2, nil, 0, nil)
+	first, err := ColorGraph(g, active, 2, nil)
 	if err != nil {
 		t.Fatalf("first Color: %v", err)
 	}
 	for trial := 0; trial < 10; trial++ {
-		again, err := Color(pairs, active, 2, nil, 0, nil)
+		again, err := ColorGraph(g, active, 2, nil)
 		if err != nil {
 			t.Fatalf("repeat Color: %v", err)
 		}
@@ -36,15 +34,15 @@ func TestColorDeterministic(t *testing.T) {
 	}
 }
 
-// TestColorRanksMatchListOrder cross-checks the counter-based ranks
-// against the definition they replaced: an item's rank at a side key is
-// its position among the active items incident to that key, in item
-// order. The palette-respecting consequence is that two active items
-// sharing a side never share both a group and a number there.
+// TestColorRanksMatchListOrder cross-checks the ranks against their
+// definition: an item's rank at a side key is its position among the
+// items incident to that key, in item order. The palette-respecting
+// consequence is that two items sharing a side never share both a group
+// and a number there.
 func TestColorRanksMatchListOrder(t *testing.T) {
 	g := graph.RandomRegular(30, 8, 3)
 	pairs := local.GraphPairs(g)
-	res, err := Color(pairs, nil, 1, nil, 0, nil)
+	res, err := Color(local.NewPairs(pairs), 1, nil, 0, nil)
 	if err != nil {
 		t.Fatalf("Color: %v", err)
 	}

@@ -46,7 +46,7 @@ func TestColorOnPairSystem(t *testing.T) {
 	}
 	// pairs[7] duplicates {100,300} of pairs[5] with swapped order.
 	pairs[7] = [2]int64{300, 100}
-	res, err := Color(pairs, nil, 1, nil, 0, local.Sequential)
+	res, err := Color(local.NewPairs(pairs), 1, nil, 0, local.Sequential)
 	if err != nil {
 		t.Fatalf("Color: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestColorWithInitialColoring(t *testing.T) {
 	for i := range init {
 		init[i] = i
 	}
-	res, err := Color(pairs, nil, 2, init, g.M(), local.Sequential)
+	res, err := Color(local.NewPairs(pairs), 2, init, g.M(), local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestColorWithInitialColoring(t *testing.T) {
 
 func TestColorRejectsBadInitLength(t *testing.T) {
 	g := graph.Cycle(6)
-	if _, err := Color(local.GraphPairs(g), nil, 1, []int{1, 2}, 10, nil); err == nil {
+	if _, err := Color(local.NewPairs(local.GraphPairs(g)), 1, []int{1, 2}, 10, nil); err == nil {
 		t.Fatal("accepted wrong-length initColors")
 	}
 }

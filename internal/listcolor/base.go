@@ -16,13 +16,39 @@ import (
 // Δ̄ is small and O(Δ̄²) rounds are affordable.
 //
 // initColors optionally provides a proper coloring of the active conflict
-// graph with initX colors (used by the recursion to hand down the globally
-// computed O(Δ̄²)-coloring so log* is paid once); pass nil to start from edge
+// graph with initX colors, indexed by EdgeID; pass nil to start from edge
 // IDs (X = g.M()).
 //
 // The returned slice maps EdgeID to chosen color, −1 for inactive edges.
 func SolveBase(in *Instance, initColors []int, initX int, run local.Engine) ([]int, local.Stats, error) {
-	return SolvePairs(local.GraphPairs(in.G), in.Active, in.Lists, initColors, initX, run)
+	m := in.G.M()
+	if len(in.Lists) != m || (initColors != nil && len(initColors) != m) {
+		return nil, local.Stats{}, fmt.Errorf("listcolor: %d lists and %d initial colors for %d edges", len(in.Lists), len(initColors), m)
+	}
+	sys, edges := local.ActivePairs(local.GraphPairs(in.G), in.Active)
+	init := make([]int, len(edges))
+	lists := make([][]int, len(edges))
+	for i, e := range edges {
+		init[i], lists[i] = int(e), in.Lists[e]
+		if initColors != nil {
+			init[i] = initColors[e]
+		}
+	}
+	if initColors == nil {
+		initX = m
+	}
+	chosen, stats, err := SolveOnTopology(sys.Topology(), init, initX, lists, run)
+	if err != nil {
+		return nil, stats, err
+	}
+	out := make([]int, m)
+	for e := range out {
+		out[e] = -1
+	}
+	for i, e := range edges {
+		out[e] = chosen[i]
+	}
+	return out, stats, nil
 }
 
 // greedyByClass is the per-edge protocol of the greedy phase: the edge whose

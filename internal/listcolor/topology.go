@@ -8,9 +8,11 @@ import (
 )
 
 // SolveOnTopology runs the base solver on an arbitrary conflict topology:
-// Linial-reduce the initial coloring to O(Δ²) classes, then one greedy class
-// per round. Every entity's list must strictly exceed its topology degree.
-// This is the engine shared by SolvePairs (edge entities) and by the vertex
+// Linial-reduce the initial coloring (a proper coloring with x colors,
+// indexed by entity) to O(Δ²) classes, then one greedy class per round.
+// Every entity's list must strictly exceed its topology degree. This is the
+// engine shared by SolveBase (edge entities), the paper's recursion (the
+// topology of a pair-system sub-instance, local.Pairs) and the vertex
 // coloring extension (node entities).
 func SolveOnTopology(t *local.Topology, initial []int, x int, lists [][]int, run local.Engine) ([]int, local.Stats, error) {
 	if run == nil {

@@ -92,15 +92,5 @@ func SetSpanLabel(run Engine, label string) {
 // ViewOf returns the static local knowledge of entity i, as handed to the
 // Factory by both engines.
 func (t *Topology) ViewOf(i int) View {
-	var meta any
-	if t.Meta != nil {
-		meta = t.Meta[i]
-	}
-	return View{
-		Index:     i,
-		N:         t.N(),
-		Degree:    len(t.Ports[i]),
-		MaxDegree: t.MaxDeg,
-		Meta:      meta,
-	}
+	return View{Index: i, N: t.N(), Degree: len(t.Ports[i]), MaxDegree: t.MaxDeg}
 }

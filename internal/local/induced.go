@@ -7,7 +7,6 @@ package local
 //
 // It returns the new topology, orig (mapping new entity index -> original
 // index) and sub (mapping original index -> new index, −1 if dropped).
-// Meta pointers are carried over unchanged.
 //
 // In the LOCAL model, running a protocol on an induced subtopology is
 // exactly the standard "run on the subgraph" step: non-participating
@@ -28,12 +27,6 @@ func Induced(t *Topology, keep []bool, keepLink func(i, p int) bool) (*Topology,
 	nt := &Topology{
 		Ports: make([][]int32, len(orig)),
 		Back:  make([][]int32, len(orig)),
-	}
-	if t.Meta != nil {
-		nt.Meta = make([]any, len(orig))
-		for ni, oi := range orig {
-			nt.Meta[ni] = t.Meta[oi]
-		}
 	}
 	// newPort[original entity][original port] = new port index or -1.
 	// Built on the fly: for entity i, the kept ports in original order get

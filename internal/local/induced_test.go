@@ -73,18 +73,6 @@ func TestInducedKeepLink(t *testing.T) {
 	}
 }
 
-func TestInducedMetaCarriedOver(t *testing.T) {
-	g := graph.Star(5)
-	tp := EdgeConflict(g)
-	keep := []bool{true, false, true, true}
-	sub, orig, _ := Induced(tp, keep, nil)
-	for ni, oi := range orig {
-		if sub.Meta[ni] != tp.Meta[oi] {
-			t.Fatalf("meta pointer not carried for entity %d", oi)
-		}
-	}
-}
-
 func TestPairConflictMultiLink(t *testing.T) {
 	// Two items occupying the same two keys: a virtual-graph multigraph.
 	pairs := [][2]int64{{10, 20}, {10, 20}, {20, 30}}

@@ -22,8 +22,16 @@
 //
 // Entities know, at start: their own ID, their degree, the global entity
 // count and the global maximum degree (standard LOCAL assumptions; the paper
-// additionally lets every node know n and Δ). They do NOT know neighbor IDs
+// additionally lets every node know n and Δ), and nothing else: a View
+// carries no topology-specific metadata. They do NOT know neighbor IDs
 // until a neighbor sends them.
+//
+// Conflict topologies come from pair systems (Pairs): items that each
+// occupy two sides — a graph edge its endpoints, an edge of the paper's
+// §4.2 virtual graphs two virtual node copies — linked iff they share a
+// side. What the endpoints of an edge know without communication (its
+// rank at each side, the side's size) is read centrally from the Pairs by
+// the algorithm that builds the next topology.
 package local
 
 import (
@@ -48,9 +56,6 @@ type View struct {
 	Degree int
 	// MaxDegree is the maximum degree over all entities (nodes know Δ).
 	MaxDegree int
-	// Meta carries topology-specific local knowledge (e.g. *EdgeMeta for
-	// edge-conflict topologies). Nil for plain node topologies.
-	Meta any
 }
 
 // Protocol is the per-entity algorithm. The engine drives it as:
@@ -102,8 +107,6 @@ type Topology struct {
 	Ports [][]int32
 	// Back[i][p] is the port at entity Ports[i][p] that leads back to i.
 	Back [][]int32
-	// Meta[i] is per-entity metadata exposed through View.Meta (may be nil).
-	Meta []any
 	// MaxDeg is the maximum entity degree, precomputed.
 	MaxDeg int
 }

@@ -2,6 +2,7 @@ package local
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/distec/distec/internal/graph"
@@ -81,40 +82,33 @@ func TestEdgeConflictValid(t *testing.T) {
 			t.Fatalf("MaxDeg %d != Δ̄ %d", tp.MaxDeg, g.MaxEdgeDegree())
 		}
 		for e := 0; e < tp.N(); e++ {
-			me := tp.Meta[e].(*EdgeMeta)
-			if tp.Degree(e) != me.EdgeDegree() {
-				t.Fatalf("edge %d: %d ports, EdgeDegree %d", e, tp.Degree(e), me.EdgeDegree())
+			if d := g.EdgeDegree(graph.EdgeID(e)); tp.Degree(e) != d {
+				t.Fatalf("edge %d: %d ports, EdgeDegree %d", e, tp.Degree(e), d)
 			}
 		}
 	}
 }
 
-// TestEdgeMetaPortStructure verifies that the port layout documented on
-// EdgeMeta matches the actual links: the neighbor on port p shares exactly
-// the endpoint SharedEndpoint(p) and sits at incidence position
-// NeighborPos(p) of that endpoint.
-func TestEdgeMetaPortStructure(t *testing.T) {
+// TestEdgeConflictPortStructure verifies the documented port layout of
+// the edge topology: the neighbor on port p shares the endpoint the port
+// passes through and sits at the matching position of that endpoint's
+// incidence list (the first endpoint's other edges first, then the
+// second's).
+func TestEdgeConflictPortStructure(t *testing.T) {
 	g := graph.RandomRegular(20, 4, 7)
 	tp := EdgeConflict(g)
 	for e := 0; e < tp.N(); e++ {
-		me := tp.Meta[e].(*EdgeMeta)
-		for p, fj := range tp.Ports[e] {
-			f := graph.EdgeID(fj)
-			s := int(me.SharedKey(p))
-			fu, fv := g.Endpoints(f)
-			if fu != s && fv != s {
-				t.Fatalf("edge %d port %d: neighbor %d does not touch shared endpoint %d", e, p, f, s)
-			}
-			want := me.NeighborPos(p)
-			found := -1
-			for pos, id := range g.Incident(s) {
-				if id == f {
-					found = pos
+		u, v := g.Endpoints(graph.EdgeID(e))
+		var want []int32
+		for _, s := range []int{u, v} {
+			for _, f := range g.Incident(s) {
+				if int(f) != e {
+					want = append(want, int32(f))
 				}
 			}
-			if found != want {
-				t.Fatalf("edge %d port %d: NeighborPos=%d, actual position %d", e, p, want, found)
-			}
+		}
+		if !slices.Equal(tp.Ports[e], want) {
+			t.Fatalf("edge %d: ports %v, want the incidence order %v", e, tp.Ports[e], want)
 		}
 	}
 }

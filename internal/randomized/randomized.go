@@ -108,21 +108,14 @@ func Solve(g *graph.Graph, active []bool, lists [][]int, seed uint64, run local.
 		run = local.Sequential
 	}
 	m := g.M()
-	if active == nil {
-		active = make([]bool, m)
-		for e := range active {
-			active[e] = true
-		}
-	}
-	full := local.EdgeConflict(g)
-	sub, orig, _ := local.Induced(full, active, nil)
-	out := make([]int, sub.N())
+	sys, edges := local.ActivePairs(local.GraphPairs(g), active)
+	out := make([]int, len(edges))
 	errs := &local.ErrorSink{}
 	factory := func(v local.View) local.Protocol {
 		return &trialProto{
 			v:    v,
 			seed: seed,
-			list: append([]int(nil), lists[orig[v.Index]]...),
+			list: append([]int(nil), lists[edges[v.Index]]...),
 			out:  out,
 			errs: errs,
 		}
@@ -131,7 +124,7 @@ func Solve(g *graph.Graph, active []bool, lists [][]int, seed uint64, run local.
 	for x := m; x > 1; x >>= 1 {
 		roundCap += 40
 	}
-	stats, err := run.Run(sub, factory, &local.Options{MaxRounds: roundCap})
+	stats, err := run.Run(sys.Topology(), factory, &local.Options{MaxRounds: roundCap})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -142,8 +135,8 @@ func Solve(g *graph.Graph, active []bool, lists [][]int, seed uint64, run local.
 	for e := range colors {
 		colors[e] = -1
 	}
-	for i, oe := range orig {
-		colors[oe] = out[i]
+	for i, e := range edges {
+		colors[e] = out[i]
 	}
 	return colors, stats, nil
 }

@@ -119,14 +119,9 @@ func waitHeads(t *testing.T, f *Follower, want map[string]uint64) {
 
 // history is a leader session's coloring after each acknowledged batch,
 // indexed by sequence number, with the edges live after the last one.
-// failed is the coloring a batch left whose journal write failed: never
-// acknowledged, and durable only when the record reached the disk before
-// the failure (a compaction's rotation failing right after the append),
-// exactly as a leader restart would find it.
 type history struct {
 	colors [][]int
 	live   map[[2]int]bool
-	failed []int
 }
 
 // newHistory starts the history of a fresh 8-cycle session.
@@ -161,19 +156,16 @@ func (h *history) churn(r *Registry, s *Session, rng *rand.Rand, size int) error
 		return err
 	}
 	d, _, err = r.Apply(context.Background(), s, d, batch)
-	switch {
-	case err == nil:
+	if err == nil {
 		h.colors, h.live = append(h.colors, d.Colors()), live
-	case errors.Is(err, distec.ErrJournal):
-		h.failed = d.Colors()
 	}
 	return err
 }
 
 // checkPromoted requires session id of the promoted registry r to verify
 // and to equal the leader's coloring after one of its acknowledged
-// batches, at least the first least of them, or after its failed batch;
-// it returns that batch's sequence number.
+// batches, at least the first least of them; it returns that batch's
+// sequence number.
 func checkPromoted(t *testing.T, r *Registry, id string, h *history, least uint64) uint64 {
 	t.Helper()
 	s, ok := r.Get(id)
@@ -187,14 +179,11 @@ func checkPromoted(t *testing.T, r *Registry, id string, h *history, least uint6
 	if err := d.Verify(); err != nil {
 		t.Fatalf("session %s promoted unverified: %v", id, err)
 	}
-	seq, want := d.Seq(), h.failed
-	switch {
-	case seq < uint64(len(h.colors)) && seq >= least:
-		want = h.colors[seq]
-	case seq != uint64(len(h.colors)) || h.failed == nil:
+	seq := d.Seq()
+	if seq >= uint64(len(h.colors)) || seq < least {
 		t.Fatalf("session %s promoted at seq %d, want one of the acknowledged %d..%d", id, seq, least, len(h.colors)-1)
 	}
-	got := d.Colors()
+	want, got := h.colors[seq], d.Colors()
 	for e := range want {
 		if want[e] != got[e] {
 			t.Fatalf("session %s at seq %d: edge %d colored %d, the leader acknowledged %d", id, seq, e, got[e], want[e])
@@ -471,8 +460,7 @@ func TestFollowerLeaderDiskFaultRetiresOneSession(t *testing.T) {
 // leader's disk and one on the follower's at seeded points, and promotes
 // at a seeded moment mid-churn. Faults tear the write they hit (a short
 // write). Every promoted session must verify and equal the leader's
-// coloring after a prefix of its acknowledged batches (see history for
-// the one failed batch that may be durable).
+// coloring after a prefix of its acknowledged batches.
 func TestFollowerFaultSchedulesProperty(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))

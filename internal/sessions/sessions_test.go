@@ -492,6 +492,50 @@ func TestApplyRetiresOnJournalFailure(t *testing.T) {
 	}
 }
 
+// TestRotationFailureAcknowledgesDurableBatch fails the fresh-WAL write of
+// the compaction a batch triggers, after the batch's record reached the
+// WAL: the batch is durable, so Apply succeeds. The failed rotation
+// poisons the log, so the next batch fails with ErrJournal and retires the
+// session, and Open recovers the acknowledged batch.
+func TestRotationFailureAcknowledgesDurableBatch(t *testing.T) {
+	fsys := errfs.New()
+	dataDir := t.TempDir()
+	r := newTestRegistry(t, Config{DataDir: dataDir, Persist: persist.Options{FS: fsys, CompactBytes: 1}})
+	id, s := add(t, r)
+	// The batch's append is the next write; the rotation's fresh WAL is
+	// the one after it.
+	writes, _, _ := fsys.Ops()
+	fsys.FailWrite(writes+2, 0)
+	want := apply(t, r, s, chord(0, 2)).Colors()
+	if !strings.Contains(fsys.Fired(), persist.WALFile+".tmp") {
+		t.Fatalf("fault %q, want the rotation's fresh-WAL write", fsys.Fired())
+	}
+	d, err := r.Acquire(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Apply(context.Background(), s, d, chord(1, 5)); !errors.Is(err, distec.ErrJournal) {
+		t.Fatalf("Apply on the poisoned log: err = %v, want ErrJournal", err)
+	}
+	if _, ok := r.Get(id); ok {
+		t.Fatal("session with a poisoned log still registered")
+	}
+	got, lg, err := Open(context.Background(), filepath.Join(dataDir, id), nil, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	if got.Seq() != 1 {
+		t.Fatalf("recovered at seq %d, want the acknowledged 1", got.Seq())
+	}
+	have := got.Colors()
+	for e := range want {
+		if want[e] != have[e] {
+			t.Fatalf("edge %d: recovered color %d, acknowledged %d", e, have[e], want[e])
+		}
+	}
+}
+
 // TestRecover boots a registry over a data dir holding healthy sessions,
 // a corrupt one, and an empty directory: the first MaxResident healthy
 // sessions load (compacting a WAL past the threshold), the rest are
