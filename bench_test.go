@@ -256,13 +256,42 @@ func (f *benchFlood) Receive(r int, inbox []local.Message) bool {
 	return r >= f.rounds
 }
 
+// broadcastFlood is benchFlood on the engines' broadcast path (a
+// local.Broadcaster): the same flood, stored once per entity per round
+// instead of written once per port.
+type broadcastFlood struct {
+	v      local.View
+	rounds int
+	best   int
+}
+
+func (f *broadcastFlood) Send(r int) []local.Message { return local.SendPerPort(f, r, f.v.Degree) }
+
+func (f *broadcastFlood) Receive(r int, inbox []local.Message) bool {
+	return local.ReceivePerPort(f, r, inbox)
+}
+
+func (f *broadcastFlood) Broadcast(r int) (int, bool) { return f.best, true }
+
+func (f *broadcastFlood) ReceiveBroadcast(r int, in local.Broadcasts) bool {
+	for p := 0; p < in.Len(); p++ {
+		if x, sent := in.At(p); sent && x > f.best {
+			f.best = x
+		}
+	}
+	return r >= f.rounds
+}
+
 // BenchmarkEngines compares the two engines on ≥10⁵-edge workloads
 // (results are recorded in BENCH_engines.json). Ring and regular flood on
 // the edge-conflict topology (one entity per edge, so entity-count scaling
 // dominates); complete-bipartite floods on the node topology, where the
 // per-round message volume of ~2m dominates. The sharded engine pays two
 // barriers across its shards per round and one batched slice append per
-// message, and runs its shards in parallel.
+// message (per-port) or per cross-shard arrival (broadcast), and runs its
+// shards in parallel. Each workload runs benchFlood on the per-port path
+// (rows named after the engine) and broadcastFlood on the broadcast path
+// (rows prefixed "broadcast-").
 func BenchmarkEngines(b *testing.B) {
 	const rounds = 8
 	workloads := []struct {
@@ -276,25 +305,36 @@ func BenchmarkEngines(b *testing.B) {
 		// K(320,320): 102 400 edges; ~2·10⁵ messages per round on the node topology.
 		{"bipartite-102k", func() *local.Topology { return local.FromGraph(graph.CompleteBipartite(320, 320)) }},
 	}
+	paths := []struct {
+		prefix  string
+		factory local.Factory
+	}{
+		{"", func(v local.View) local.Protocol {
+			return &benchFlood{v: v, rounds: rounds, best: v.Index, out: make([]local.Message, v.Degree)}
+		}},
+		{"broadcast-", func(v local.View) local.Protocol {
+			return &broadcastFlood{v: v, rounds: rounds, best: v.Index}
+		}},
+	}
 	for _, w := range workloads {
 		tp := w.build()
-		factory := func(v local.View) local.Protocol {
-			return &benchFlood{v: v, rounds: rounds, best: v.Index, out: make([]local.Message, v.Degree)}
-		}
-		for _, eng := range []local.Engine{local.Sequential, sharded.Default} {
-			b.Run(w.name+"/"+eng.Name(), func(b *testing.B) {
-				var stats local.Stats
-				for i := 0; i < b.N; i++ {
-					var err error
-					if stats, err = eng.Run(tp, factory, nil); err != nil {
-						b.Fatal(err)
+		for _, path := range paths {
+			factory := path.factory
+			for _, eng := range []local.Engine{local.Sequential, sharded.Default} {
+				b.Run(w.name+"/"+path.prefix+eng.Name(), func(b *testing.B) {
+					var stats local.Stats
+					for i := 0; i < b.N; i++ {
+						var err error
+						if stats, err = eng.Run(tp, factory, nil); err != nil {
+							b.Fatal(err)
+						}
+						if stats.Rounds != rounds {
+							b.Fatalf("rounds = %d, want %d", stats.Rounds, rounds)
+						}
 					}
-					if stats.Rounds != rounds {
-						b.Fatalf("rounds = %d, want %d", stats.Rounds, rounds)
-					}
-				}
-				b.ReportMetric(float64(stats.Messages)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mmsg/s")
-			})
+					b.ReportMetric(float64(stats.Messages)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mmsg/s")
+				})
+			}
 		}
 	}
 }

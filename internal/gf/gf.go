@@ -9,7 +9,7 @@
 // cover-free property the reduction step needs.
 package gf
 
-import "fmt"
+import "strconv"
 
 // IsPrime reports whether x is prime. Trial division: every q used by the
 // reduction is O(Δ·log n), far below any range where this matters.
@@ -42,22 +42,23 @@ func NextPrime(x int) int {
 	return x
 }
 
-// Digits decomposes value into exactly width base-q digits, least significant
-// first. It panics if value does not fit, which is always a parameter bug in
-// the caller.
-func Digits(value, q, width int) []int {
+// Digits appends the exactly width base-q digits of value to dst, least
+// significant first, and returns the extended slice. It panics if value is
+// negative or does not fit, which is always a parameter bug in the caller.
+// The panic messages are built with strconv rather than fmt: Linial's
+// per-round step calls Digits and is held to the hotpath analyzer.
+func Digits(dst []int, value, q, width int) []int {
 	if value < 0 {
-		panic(fmt.Sprintf("gf: negative value %d", value))
+		panic("gf: negative value " + strconv.Itoa(value))
 	}
-	out := make([]int, width)
 	for i := 0; i < width; i++ {
-		out[i] = value % q
+		dst = append(dst, value%q)
 		value /= q
 	}
 	if value != 0 {
-		panic(fmt.Sprintf("gf: value does not fit in %d base-%d digits", width, q))
+		panic("gf: value does not fit in " + strconv.Itoa(width) + " base-" + strconv.Itoa(q) + " digits")
 	}
-	return out
+	return dst
 }
 
 // Eval evaluates the polynomial with the given coefficients (least
@@ -70,39 +71,4 @@ func Eval(coeffs []int, a, q int) int {
 		acc = (acc*a + coeffs[i]) % q
 	}
 	return acc
-}
-
-// Pow returns b^e mod q for e ≥ 0.
-func Pow(b, e, q int) int {
-	b %= q
-	if b < 0 {
-		b += q
-	}
-	acc := 1 % q
-	for e > 0 {
-		if e&1 == 1 {
-			acc = acc * b % q
-		}
-		b = b * b % q
-		e >>= 1
-	}
-	return acc
-}
-
-// CeilLog returns ⌈log_base(x)⌉ for x ≥ 1, base ≥ 2: the smallest w with
-// base^w ≥ x. CeilLog(base, 1) = 0.
-func CeilLog(base, x int) int {
-	if x < 1 || base < 2 {
-		panic(fmt.Sprintf("gf: CeilLog(%d, %d)", base, x))
-	}
-	w, p := 0, 1
-	for p < x {
-		// Overflow guard: widths beyond 62 bits cannot occur with sane inputs.
-		if p > (1<<62)/base {
-			panic("gf: CeilLog overflow")
-		}
-		p *= base
-		w++
-	}
-	return w
 }

@@ -34,13 +34,17 @@ func TestNextPrime(t *testing.T) {
 func TestDigitsRoundTrip(t *testing.T) {
 	f := func(v uint16, qRaw uint8) bool {
 		q := int(qRaw%29) + 2
-		width := CeilLog(q, int(v)+1)
-		if width == 0 {
-			width = 1
+		width := 1
+		for p := q; p <= int(v); p *= q {
+			width++
 		}
-		d := Digits(int(v), q, width)
+		prefix := []int{-1}
+		d := Digits(prefix, int(v), q, width)
+		if len(d) != 1+width || d[0] != -1 {
+			return false
+		}
 		back, mult := 0, 1
-		for _, x := range d {
+		for _, x := range d[1:] {
 			if x < 0 || x >= q {
 				return false
 			}
@@ -57,10 +61,10 @@ func TestDigitsRoundTrip(t *testing.T) {
 func TestDigitsOverflowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Digits(100, 10, 1) did not panic")
+			t.Fatal("Digits(nil, 100, 10, 1) did not panic")
 		}
 	}()
-	Digits(100, 10, 1)
+	Digits(nil, 100, 10, 1)
 }
 
 func TestEvalMatchesNaive(t *testing.T) {
@@ -84,8 +88,8 @@ func TestPolynomialAgreementBound(t *testing.T) {
 	width := d + 1
 	for x := 0; x < q*q*q; x += 7 {
 		for y := x + 1; y < q*q*q; y += 97 {
-			cx := Digits(x, q, width)
-			cy := Digits(y, q, width)
+			cx := Digits(nil, x, q, width)
+			cy := Digits(nil, y, q, width)
 			agree := 0
 			for a := 0; a < q; a++ {
 				if Eval(cx, a, q) == Eval(cy, a, q) {
@@ -95,33 +99,6 @@ func TestPolynomialAgreementBound(t *testing.T) {
 			if agree > d {
 				t.Fatalf("colors %d and %d agree on %d > d=%d points", x, y, agree, d)
 			}
-		}
-	}
-}
-
-func TestPow(t *testing.T) {
-	if got := Pow(2, 10, 1000003); got != 1024 {
-		t.Fatalf("Pow(2,10) = %d", got)
-	}
-	if got := Pow(5, 0, 7); got != 1 {
-		t.Fatalf("Pow(5,0) = %d", got)
-	}
-	// Fermat: a^(p-1) = 1 mod p.
-	for a := 1; a < 13; a++ {
-		if got := Pow(a, 12, 13); got != 1 {
-			t.Fatalf("Fermat fails: %d^12 mod 13 = %d", a, got)
-		}
-	}
-}
-
-func TestCeilLog(t *testing.T) {
-	cases := []struct{ base, x, want int }{
-		{2, 1, 0}, {2, 2, 1}, {2, 3, 2}, {2, 8, 3}, {2, 9, 4},
-		{10, 1000, 3}, {10, 1001, 4}, {3, 27, 3},
-	}
-	for _, tc := range cases {
-		if got := CeilLog(tc.base, tc.x); got != tc.want {
-			t.Errorf("CeilLog(%d,%d) = %d, want %d", tc.base, tc.x, got, tc.want)
 		}
 	}
 }

@@ -20,6 +20,7 @@ package linial
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/distec/distec/internal/gf"
 	"github.com/distec/distec/internal/local"
@@ -118,7 +119,8 @@ func Colors(X, maxDeg int) int {
 }
 
 // reducer is the per-entity protocol: len(plan) Linial rounds followed by
-// (K − target) class-elimination rounds when target ≥ 0.
+// (K − target) class-elimination rounds when target ≥ 0. Every round it
+// broadcasts its current color (a local.Broadcaster).
 type reducer struct {
 	v      local.View
 	color  int
@@ -130,23 +132,24 @@ type reducer struct {
 	dead   bool // a protocol error occurred; idle out the schedule
 }
 
-func (rd *reducer) Send(r int) []local.Message {
-	msgs := make([]local.Message, rd.v.Degree)
-	for p := range msgs {
-		msgs[p] = rd.color
-	}
-	return msgs
-}
+func (rd *reducer) Send(r int) []local.Message { return local.SendPerPort(rd, r, rd.v.Degree) }
 
 func (rd *reducer) Receive(r int, inbox []local.Message) bool {
+	return local.ReceivePerPort(rd, r, inbox)
+}
+
+func (rd *reducer) Broadcast(r int) (int, bool) { return rd.color, true }
+
+//distec:hotpath
+func (rd *reducer) ReceiveBroadcast(r int, in local.Broadcasts) bool {
 	if rd.dead {
 		// Keep pace with the lockstep schedule but stop computing.
 	} else if r <= len(rd.plan) {
-		rd.linialStep(rd.plan[r-1], inbox)
+		rd.linialStep(rd.plan[r-1], in)
 	} else if rd.target >= 0 {
 		c := rd.k - (r - len(rd.plan))
 		if rd.color == c {
-			rd.recolorBelow(rd.target, inbox)
+			rd.recolorBelow(rd.target, in)
 		}
 	}
 	total := len(rd.plan)
@@ -160,62 +163,88 @@ func (rd *reducer) Receive(r int, inbox []local.Message) bool {
 	return false
 }
 
-// linialStep applies one cover-free reduction: find a point of GF(q) where
-// this entity's color-polynomial differs from every neighbor's.
-func (rd *reducer) linialStep(s Step, inbox []local.Message) {
-	q, d := s.Q, s.D
-	mine := gf.Digits(rd.color, q, d+1)
-	nbr := make([][]int, 0, len(inbox))
-	for _, m := range inbox {
-		if m == nil {
-			continue
-		}
-		c := m.(int)
-		if c == rd.color {
-			rd.errs.Set(fmt.Errorf("linial: entity %d and a neighbor share color %d (input coloring not proper)", rd.v.Index, c))
-			rd.dead = true
-			rd.color = 0
-			return
-		}
-		nbr = append(nbr, gf.Digits(c, q, d+1))
-	}
-	for a := 0; a < q; a++ {
-		fa := gf.Eval(mine, a, q)
-		ok := true
-		for _, nc := range nbr {
-			if gf.Eval(nc, a, q) == fa {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			rd.color = a*q + fa
-			return
-		}
-	}
-	rd.errs.Set(fmt.Errorf("linial: entity %d found no conflict-free point (q=%d d=%d deg=%d)", rd.v.Index, q, d, rd.v.Degree))
+// fail records a protocol error; the entity idles out the schedule with
+// color 0.
+func (rd *reducer) fail(err error) {
+	rd.errs.Set(err)
 	rd.dead = true
 	rd.color = 0
 }
 
-// recolorBelow picks the smallest color < target not used by any neighbor.
-func (rd *reducer) recolorBelow(target int, inbox []local.Message) {
-	used := make([]bool, target)
-	for _, m := range inbox {
-		if m == nil {
+// linialStep applies one cover-free reduction: find a point of GF(q) where
+// this entity's color-polynomial differs from every neighbor's. The digits
+// of all polynomials go into a stack buffer while degree·(d+1) fits in it.
+//
+//distec:hotpath
+func (rd *reducer) linialStep(s Step, in local.Broadcasts) {
+	q, w := s.Q, s.D+1
+	var buf [512]int
+	// polys[:w] is this entity's polynomial, then one w-block per neighbor.
+	polys := gf.Digits(buf[:0], rd.color, q, w)
+	for p := 0; p < in.Len(); p++ {
+		c, sent := in.At(p)
+		if !sent {
 			continue
 		}
-		if c := m.(int); c < target {
+		if c == rd.color {
+			rd.fail(fmt.Errorf("linial: entity %d and a neighbor share color %d (input coloring not proper)", rd.v.Index, c))
+			return
+		}
+		polys = gf.Digits(polys, c, q, w)
+	}
+	a, fa := freePoint(polys, q, w)
+	if a < 0 {
+		rd.fail(fmt.Errorf("linial: entity %d found no conflict-free point (q=%d d=%d deg=%d)", rd.v.Index, q, s.D, rd.v.Degree))
+		return
+	}
+	rd.color = a*q + fa
+}
+
+// freePoint returns the smallest a in GF(q) at which the first width-w
+// polynomial of polys differs from every other one, and its value there;
+// a = −1 when there is none.
+func freePoint(polys []int, q, w int) (a, fa int) {
+	for a := 0; a < q; a++ {
+		fa := gf.Eval(polys[:w], a, q)
+		free := true
+		for o := w; o < len(polys); o += w {
+			if gf.Eval(polys[o:o+w], a, q) == fa {
+				free = false
+				break
+			}
+		}
+		if free {
+			return a, fa
+		}
+	}
+	return -1, 0
+}
+
+// recolorBelow picks the smallest color < target not used by any neighbor.
+// That color is at most the degree, so only colors ≤ degree are tracked,
+// in a stack array while they fit.
+//
+//distec:hotpath
+func (rd *reducer) recolorBelow(target int, in local.Broadcasts) {
+	var buf [64]bool
+	n := min(target, in.Len()+1)
+	var used []bool
+	if n <= len(buf) {
+		used = buf[:n]
+	} else {
+		used = make([]bool, n)
+	}
+	for p := 0; p < in.Len(); p++ {
+		if c, sent := in.At(p); sent && c < n {
 			used[c] = true
 		}
 	}
-	for c := 0; c < target; c++ {
-		if !used[c] {
-			rd.color = c
-			return
-		}
+	c := slices.Index(used, false)
+	if c < 0 {
+		rd.errs.Set(fmt.Errorf("linial: entity %d cannot recolor below %d with degree %d", rd.v.Index, target, rd.v.Degree))
+		return
 	}
-	rd.errs.Set(fmt.Errorf("linial: entity %d cannot recolor below %d with degree %d", rd.v.Index, target, rd.v.Degree))
+	rd.color = c
 }
 
 // Reduce runs Linial's reduction on topology t, starting from the proper

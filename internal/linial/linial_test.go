@@ -254,3 +254,74 @@ func TestPlanGrowthIsLogStar(t *testing.T) {
 		t.Fatalf("plan lengths %d, %d, %d grow faster than log*", l1, l2, l3)
 	}
 }
+
+// TestBroadcastRoundsAllocationFree pins the steady state of a broadcast
+// Linial run at zero allocations per round, on SeqExec.Round and on
+// sharded.Exec.Round with a nil executor (two shards, so broadcasts also
+// cross shards): the reducer's step keeps its digits on the stack and the
+// engines reuse every per-round buffer. The run repeats one plan step —
+// its output colors < Q² are valid input again — so both the Linial phase
+// and the class-elimination phase last long enough to measure.
+func TestBroadcastRoundsAllocationFree(t *testing.T) {
+	tp := local.EdgeConflict(graph.RandomRegular(64, 6, 1))
+	init := make([]int, tp.N())
+	for i := range init {
+		init[i] = 1009 * i
+	}
+	s := Plan(1009*tp.N(), tp.MaxDeg)[0]
+	plan := make([]Step, 24)
+	for i := range plan {
+		plan[i] = s
+	}
+	factory := func(out []int, errs *local.ErrorSink) local.Factory {
+		return func(v local.View) local.Protocol {
+			return &reducer{v: v, color: init[v.Index], plan: plan, k: s.Q * s.Q, target: tp.MaxDeg + 1, out: out, errs: errs}
+		}
+	}
+	engines := []struct {
+		name  string
+		round func(f local.Factory) func() bool
+	}{
+		{"sequential", func(f local.Factory) func() bool { return local.NewSeqExec(tp, f, nil).Round }},
+		{"sharded", func(f local.Factory) func() bool {
+			x := sharded.Prepare(tp, f, nil, 2, nil)
+			return func() bool { return x.Round(nil) }
+		}},
+	}
+	for _, eng := range engines {
+		out := make([]int, tp.N())
+		errs := &local.ErrorSink{}
+		round := eng.round(factory(out, errs))
+		r := 0
+		step := func() {
+			r++
+			if round() {
+				t.Fatalf("%s: finished at round %d", eng.name, r)
+			}
+		}
+		step()
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Errorf("%s: %v allocations per Linial round, want 0", eng.name, allocs)
+		}
+		for r < len(plan)+2 {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Errorf("%s: %v allocations per class-elimination round, want 0", eng.name, allocs)
+		}
+		for !round() {
+		}
+		if err := errs.Err(); err != nil {
+			t.Fatalf("%s: %v", eng.name, err)
+		}
+		if !properOn(tp, out) {
+			t.Fatalf("%s: improper coloring", eng.name)
+		}
+		for i, c := range out {
+			if c >= tp.MaxDeg+1 {
+				t.Fatalf("%s: entity %d color %d ≥ target %d", eng.name, i, c, tp.MaxDeg+1)
+			}
+		}
+	}
+}

@@ -53,7 +53,8 @@ func SolveBase(in *Instance, initColors []int, initX int, run local.Engine) ([]i
 
 // greedyByClass is the per-edge protocol of the greedy phase: the edge whose
 // Linial class is c picks, in round c+1, the smallest color of its list not
-// taken by an already-colored conflicting edge, and announces it.
+// taken by an already-colored conflicting edge, and announces it (a
+// local.Broadcaster).
 type greedyByClass struct {
 	v      local.View
 	class  int
@@ -66,16 +67,18 @@ type greedyByClass struct {
 	errs   *local.ErrorSink
 }
 
-func (gb *greedyByClass) Send(r int) []local.Message {
+func (gb *greedyByClass) Send(r int) []local.Message { return local.SendPerPort(gb, r, gb.v.Degree) }
+
+func (gb *greedyByClass) Receive(r int, inbox []local.Message) bool {
+	return local.ReceivePerPort(gb, r, inbox)
+}
+
+func (gb *greedyByClass) Broadcast(r int) (int, bool) {
 	if r != gb.class+1 {
-		return nil
+		return 0, false
 	}
 	gb.pick()
-	msgs := make([]local.Message, gb.v.Degree)
-	for p := range msgs {
-		msgs[p] = gb.color
-	}
-	return msgs
+	return gb.color, true
 }
 
 func (gb *greedyByClass) pick() {
@@ -91,12 +94,9 @@ func (gb *greedyByClass) pick() {
 	gb.color = -1
 }
 
-func (gb *greedyByClass) Receive(r int, inbox []local.Message) bool {
-	for _, m := range inbox {
-		if m == nil {
-			continue
-		}
-		if c := m.(int); c >= 0 {
+func (gb *greedyByClass) ReceiveBroadcast(r int, in local.Broadcasts) bool {
+	for p := 0; p < in.Len(); p++ {
+		if c, sent := in.At(p); sent && c >= 0 {
 			if gb.taken == nil {
 				gb.taken = make(map[int]bool)
 			}

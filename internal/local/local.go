@@ -4,10 +4,15 @@
 // A Topology fixes a set of communication entities (graph nodes, or graph
 // edges communicating with conflicting edges), each with a unique identifier
 // and port-numbered links. A Protocol is the per-entity state machine: in
-// every synchronous round each entity produces one message per port, the
-// engine delivers all messages, and each entity consumes its inbox and
-// decides whether to halt. Messages are arbitrary Go values — the LOCAL
-// model does not charge for bandwidth, only rounds.
+// every synchronous round each entity produces at most one message per
+// port, the engine delivers all messages, and each entity consumes its
+// inbox and decides whether to halt. Messages are arbitrary Go values — the
+// LOCAL model does not charge for bandwidth, only rounds. Most protocols
+// here send one int on every port (Linial's reduction, the greedy base, the
+// randomized trials, the distributed check); as Broadcasters they take the
+// engines' broadcast path, where a round stores one value per entity and a
+// receiver reads its neighbors' values through its own ports, with the same
+// semantics and message counts as the per-port path.
 //
 // Two engines execute the same Protocol with identical semantics (see the
 // Engine interface), each through one round loop:
@@ -67,7 +72,9 @@ type View struct {
 //	}
 //
 // until every entity has returned done=true. A halted entity sends nothing
-// in later rounds and its Receive is not called again.
+// in later rounds and its Receive is not called again. Each port carries
+// its own message, so a protocol may tell its neighbors different things;
+// one that sends the same int on every port implements Broadcaster too.
 type Protocol interface {
 	// Send returns the messages for round r, indexed by port. The returned
 	// slice must have length Degree (use View.Degree); nil entries send

@@ -15,14 +15,19 @@ import (
 // holding the lane for the whole run, at full sequential speed — no
 // barriers, no cross-goroutine handoff. Not safe for concurrent use.
 //
-// Inbox buffers are cleared sparsely (only slots written in a buffer's
-// previous use), so a round's cost is O(active entities + messages) rather
+// A run whose every entity is a Broadcaster keeps one value per entity per
+// round in a Store and no inboxes; any other run gets two port-indexed
+// inboxes per entity. Inbox buffers are cleared sparsely (only slots written
+// in a buffer's previous use) and an entity's arrival count when the receive
+// loop visits it, so a round's cost is O(active entities + messages) rather
 // than O(total ports) — essential for long, sparse schedules such as the
 // one-class-per-round greedy phases.
 type SeqExec struct {
 	t        *Topology
 	opts     *Options
 	procs    []Protocol
+	bcast    []Broadcaster // non-nil on the broadcast path
+	sent     Store
 	sparse   []SparseReceiver
 	sleepers []Sleeper
 	wake     []int
@@ -54,8 +59,6 @@ func NewSeqExec(t *Topology, f Factory, opts *Options) *SeqExec {
 		sparse:   make([]SparseReceiver, n),
 		sleepers: make([]Sleeper, n),
 		wake:     make([]int, n),
-		inboxes:  make([][]Message, n),
-		next:     make([][]Message, n),
 		gotMsg:   make([]int32, n),
 		order:    make([]int32, n),
 		limit:    opts.RoundLimit(),
@@ -69,9 +72,17 @@ func NewSeqExec(t *Topology, f Factory, opts *Options) *SeqExec {
 		if sl, ok := x.procs[i].(Sleeper); ok {
 			x.sleepers[i] = sl
 		}
+		x.order[i] = int32(i)
+	}
+	if x.bcast = Broadcasters(x.procs); x.bcast != nil {
+		x.sent = NewStore(n)
+		return x
+	}
+	x.inboxes = make([][]Message, n)
+	x.next = make([][]Message, n)
+	for i := 0; i < n; i++ {
 		x.inboxes[i] = make([]Message, len(t.Ports[i]))
 		x.next[i] = make([]Message, len(t.Ports[i]))
-		x.order[i] = int32(i)
 	}
 	return x
 }
@@ -119,18 +130,24 @@ func (x *SeqExec) Round() bool {
 	}
 	x.stats.Rounds = r
 	t, cur := x.t, x.cur
-	// Clear the stale entries of the buffer about to be written and the
-	// previous round's delivery counters.
+	// Clear the stale entries of the buffer about to be written.
 	for _, s := range x.touched[cur] {
 		x.next[s.entity][s.port] = nil
 	}
 	x.touched[cur] = x.touched[cur][:0]
-	for _, s := range x.touched[1-cur] {
-		x.gotMsg[s.entity] = 0
-	}
 	for _, i32 := range x.order {
 		i := int(i32)
 		if x.wake[i] > r {
+			continue
+		}
+		if x.bcast != nil {
+			if v, ok := x.bcast[i].Broadcast(r); ok {
+				x.sent.Put(i, r, v)
+				for _, j := range t.Ports[i] {
+					x.gotMsg[j]++
+				}
+				x.stats.Messages += int64(len(t.Ports[i]))
+			}
 			continue
 		}
 		out := x.procs[i].Send(r)
@@ -161,6 +178,7 @@ func (x *SeqExec) Round() bool {
 	for _, i32 := range x.order {
 		i := int(i32)
 		got := x.gotMsg[i]
+		x.gotMsg[i] = 0
 		if x.wake[i] > r && got == 0 {
 			// Sleeping and nothing arrived: skip by contract.
 			x.order[w] = i32
@@ -177,7 +195,11 @@ func (x *SeqExec) Round() bool {
 				x.wake[i] = x.sleepers[i].NextWake(r)
 			}
 		} else {
-			done = x.procs[i].Receive(r, x.inboxes[i])
+			if x.bcast != nil {
+				done = x.bcast[i].ReceiveBroadcast(r, x.sent.Received(t.Ports[i], r))
+			} else {
+				done = x.procs[i].Receive(r, x.inboxes[i])
+			}
 			x.wake[i] = 0
 		}
 		if !done {

@@ -26,11 +26,18 @@ func mix(seed, a, b uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-type msg struct {
-	Fixed bool
-	Color int
+// trial encodes one round's message as the int a trialProto broadcasts:
+// the color it proposes or has fixed, and whether it is fixed, in the low
+// bit (colors are list entries, far below the shift's range).
+func trial(color int, fixed bool) int {
+	v := color << 1
+	if fixed {
+		v |= 1
+	}
+	return v
 }
 
+// trialProto is one edge's randomized trials, a local.Broadcaster.
 type trialProto struct {
 	v     local.View
 	seed  uint64
@@ -42,45 +49,42 @@ type trialProto struct {
 	errs  *local.ErrorSink
 }
 
-func (tp *trialProto) Send(r int) []local.Message {
-	msgs := make([]local.Message, tp.v.Degree)
-	var m msg
-	if tp.fixed {
-		m = msg{Fixed: true, Color: tp.color}
-		tp.sent = true
-	} else {
-		if len(tp.list) == 0 {
-			tp.errs.Set(fmt.Errorf("randomized: edge entity %d ran out of colors", tp.v.Index))
-			return nil
-		}
-		pick := tp.list[mix(tp.seed, uint64(tp.v.Index), uint64(r))%uint64(len(tp.list))]
-		m = msg{Fixed: false, Color: pick}
-		tp.color = pick
-	}
-	for p := range msgs {
-		msgs[p] = m
-	}
-	return msgs
-}
+func (tp *trialProto) Send(r int) []local.Message { return local.SendPerPort(tp, r, tp.v.Degree) }
 
 func (tp *trialProto) Receive(r int, inbox []local.Message) bool {
+	return local.ReceivePerPort(tp, r, inbox)
+}
+
+func (tp *trialProto) Broadcast(r int) (int, bool) {
+	if tp.fixed {
+		tp.sent = true
+		return trial(tp.color, true), true
+	}
+	if len(tp.list) == 0 {
+		tp.errs.Set(fmt.Errorf("randomized: edge entity %d ran out of colors", tp.v.Index))
+		return 0, false
+	}
+	tp.color = tp.list[mix(tp.seed, uint64(tp.v.Index), uint64(r))%uint64(len(tp.list))]
+	return trial(tp.color, false), true
+}
+
+func (tp *trialProto) ReceiveBroadcast(r int, in local.Broadcasts) bool {
 	if tp.fixed {
 		// The fixed color was announced this round; the edge is done.
 		tp.out[tp.v.Index] = tp.color
 		return tp.sent
 	}
 	conflict := false
-	for _, im := range inbox {
-		if im == nil {
+	for p := 0; p < in.Len(); p++ {
+		m, sent := in.At(p)
+		if !sent {
 			continue
 		}
-		mm := im.(msg)
-		if mm.Fixed {
-			tp.drop(mm.Color)
-			if mm.Color == tp.color {
-				conflict = true
-			}
-		} else if mm.Color == tp.color {
+		c := m >> 1
+		if m&1 == 1 {
+			tp.drop(c)
+		}
+		if c == tp.color {
 			conflict = true
 		}
 	}

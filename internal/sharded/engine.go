@@ -4,20 +4,26 @@
 // shards' deliver-and-receive phases, with a barrier after each. Messages
 // cross shards in double-buffered per-shard batches handed over at the
 // send barrier, and all per-round buffers are reused, keeping the hot path
-// allocation-free.
+// allocation-free. On the broadcast path (every entity a
+// local.Broadcaster) an owner shard writes its entities' values into a
+// parity-double-buffered local.Store in the send phase, and receivers in
+// any shard read them after the send barrier; only the IDs of the
+// entities a broadcast reaches in other shards cross in batches.
 //
 // Exec is the engine's one round loop. Engine.Run drives an Exec to
 // completion, fanning each phase out on fresh goroutines; internal/serve
 // drives Execs through its shared worker lanes instead. A round costs two
 // barriers across the shards (not across entities) and one slice append
-// per message, and its shards run in parallel. Error-free runs are
-// bit-identical to local.Sequential for every protocol in the repository
-// (on a protocol error, each shard stops sending at its own first bad
-// entity, so the partial message count returned with the error may differ
-// from the sequential engine's): the receive order within a shard is
-// ascending entity order, inboxes are port-indexed (so delivery order is
-// immaterial), and the sparse/sleeper fast paths mirror the sequential
-// engine exactly.
+// per message (on the broadcast path: one store write per sending entity,
+// one 4-byte count increment per port, and a 4-byte ID append for each
+// port whose neighbor lives in another shard), and its shards run in
+// parallel. Error-free runs are bit-identical to local.Sequential for every
+// protocol in the repository (on a protocol error, each shard stops sending
+// at its own first bad entity, so the partial message count returned with
+// the error may differ from the sequential engine's): the receive order
+// within a shard is ascending entity order, inboxes and broadcast views are
+// port-indexed (so delivery order is immaterial), and the sparse/sleeper
+// fast paths mirror the sequential engine exactly.
 package sharded
 
 import (

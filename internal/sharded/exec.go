@@ -48,6 +48,10 @@ type Exec struct {
 	opts    *local.Options
 	st      *runState
 	workers []*worker
+	// sent holds the broadcast path's values by parity, like the outbox
+	// batches: round r writes sent[r's parity] in the send phase and
+	// receivers read it after the send barrier (see outbox).
+	sent    [2]local.Store
 	shardOf []int32
 	limit   int
 	par     int
@@ -107,13 +111,18 @@ func prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 	x.each(exec, func(s int, _ *worker) {
 		x.workers[s] = newWorker(s, bounds[s], bounds[s+1], shards, t, f)
 	})
+	if x.broadcast() {
+		x.sent = [2]local.Store{local.NewStore(n), local.NewStore(n)}
+	} else {
+		x.each(exec, func(_ int, w *worker) { w.usePorts(t) })
+	}
 	traced := x.span != nil
 	x.sendTask = func(_ int, w *worker) {
 		var start time.Time
 		if traced {
 			start = time.Now()
 		}
-		w.sendPhase(x.r, x.par, x.t, x.shardOf, x.st)
+		w.sendPhase(x.r, x.par, x.t, x.shardOf, x.st, x.sent[x.par])
 		if traced {
 			w.busy += time.Since(start)
 		}
@@ -124,12 +133,23 @@ func prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 			start = time.Now()
 		}
 		w.deliverPhase(x.par, x.workers)
-		w.receivePhase(x.r, x.par)
+		w.receivePhase(x.r, x.par, x.t, x.sent[x.par])
 		if traced {
 			w.busy += time.Since(start)
 		}
 	}
 	return x
+}
+
+// broadcast reports whether every entity of the run is a
+// local.Broadcaster, which puts the whole run on the broadcast path.
+func (x *Exec) broadcast() bool {
+	for _, w := range x.workers {
+		if w.bcast == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // Shards returns the effective shard count.

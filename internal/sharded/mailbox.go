@@ -13,8 +13,11 @@ type delivery struct {
 }
 
 // outbox is the double-buffered mail of one source shard: buf[par][dst] is
-// the batch of messages this shard produced for destination shard dst in
-// rounds of parity par.
+// the batch this shard produced for destination shard dst in rounds of
+// parity par. A per-port run batches deliveries; a broadcast run batches
+// only the IDs of the entities its broadcasts reach in other shards (the
+// values themselves sit in the run's parity-par local.Store), so no
+// pointer crosses shards for a broadcast.
 //
 // A buffer of parity p written in round r is read by the destination worker
 // after the send barrier and reused (truncated, capacity retained) in round
@@ -24,33 +27,34 @@ type delivery struct {
 // reset in round r+1 — but the parity scheme keeps the mailbox's safety
 // independent of that barrier: it only relies on the send barrier, so halt
 // detection can later be relaxed (e.g. lagged or tree-reduced) without
-// touching message-passing correctness.
-type outbox struct {
-	buf [2][][]delivery
+// touching message-passing correctness. The broadcast stores are
+// double-buffered by parity for the same reason.
+type outbox[T any] struct {
+	buf [2][][]T
 }
 
-func newOutbox(shards int) outbox {
-	var ob outbox
-	ob.buf[0] = make([][]delivery, shards)
-	ob.buf[1] = make([][]delivery, shards)
+func newOutbox[T any](shards int) outbox[T] {
+	var ob outbox[T]
+	ob.buf[0] = make([][]T, shards)
+	ob.buf[1] = make([][]T, shards)
 	return ob
 }
 
 // reset truncates the parity-par batches for reuse, keeping capacity.
-func (ob *outbox) reset(par int) {
+func (ob *outbox[T]) reset(par int) {
 	for d := range ob.buf[par] {
 		ob.buf[par][d] = ob.buf[par][d][:0]
 	}
 }
 
-// put appends one message to the parity-par batch for shard dst.
+// put appends one item to the parity-par batch for shard dst.
 //
 //distec:hotpath
-func (ob *outbox) put(par int, dst int32, d delivery) {
+func (ob *outbox[T]) put(par int, dst int32, d T) {
 	ob.buf[par][dst] = append(ob.buf[par][dst], d)
 }
 
 // batch returns the parity-par batch destined for shard dst.
-func (ob *outbox) batch(par int, dst int) []delivery {
+func (ob *outbox[T]) batch(par int, dst int) []T {
 	return ob.buf[par][dst]
 }

@@ -41,14 +41,16 @@ type slot struct {
 }
 
 // worker owns one contiguous block of entities: their protocol state, their
-// double-buffered inboxes, and the outbox batches they produce. Within a
-// phase only the shard's own task mutates its fields; cross-shard data
-// flows only through outbox batches read strictly after a barrier.
+// double-buffered inboxes (per-port runs only), and the outbox batches they
+// produce. Within a phase only the shard's own task mutates its fields;
+// cross-shard data flows only through outbox batches and the owned cells of
+// the run's broadcast stores, read strictly after the send barrier.
 type worker struct {
 	id     int
 	lo, hi int // owned entity range [lo, hi)
 
 	procs    []local.Protocol
+	bcast    []local.Broadcaster // non-nil on the broadcast path
 	sparse   []local.SparseReceiver
 	sleepers []local.Sleeper
 
@@ -57,7 +59,8 @@ type worker struct {
 	gotMsg  []int32 // shard-local: deliveries this round
 	inbox   [2][][]local.Message
 	touched [2][]slot
-	out     outbox
+	out     outbox[delivery]
+	arrive  outbox[int32] // broadcast arrivals in other shards, by entity
 
 	sent int64
 
@@ -81,10 +84,9 @@ func newWorker(id, lo, hi, shards int, t *local.Topology, f local.Factory) *work
 		active:   make([]int32, n),
 		wake:     make([]int, n),
 		gotMsg:   make([]int32, n),
-		out:      newOutbox(shards),
+		out:      newOutbox[delivery](shards),
+		arrive:   newOutbox[int32](shards),
 	}
-	w.inbox[0] = make([][]local.Message, n)
-	w.inbox[1] = make([][]local.Message, n)
 	for li := 0; li < n; li++ {
 		i := lo + li
 		w.procs[li] = f(t.ViewOf(i))
@@ -94,23 +96,52 @@ func newWorker(id, lo, hi, shards int, t *local.Topology, f local.Factory) *work
 		if sl, ok := w.procs[li].(local.Sleeper); ok {
 			w.sleepers[li] = sl
 		}
-		deg := len(t.Ports[i])
-		w.inbox[0][li] = make([]local.Message, deg)
-		w.inbox[1][li] = make([]local.Message, deg)
 		w.active[li] = int32(i)
 	}
+	w.bcast = local.Broadcasters(w.procs)
 	return w
 }
 
+// usePorts puts the worker on the per-port path: it drops its broadcasters
+// and builds its entities' double-buffered inboxes.
+func (w *worker) usePorts(t *local.Topology) {
+	w.bcast = nil
+	n := w.hi - w.lo
+	w.inbox[0] = make([][]local.Message, n)
+	w.inbox[1] = make([][]local.Message, n)
+	for li := 0; li < n; li++ {
+		deg := len(t.Ports[w.lo+li])
+		w.inbox[0][li] = make([]local.Message, deg)
+		w.inbox[1][li] = make([]local.Message, deg)
+	}
+}
+
 // sendPhase runs Send for every awake owned entity and batches the output
-// into the parity-par outbox buffers by destination shard.
+// into the parity-par outbox buffers by destination shard. On the broadcast
+// path it writes the entity's value into sent, counts arrivals at owned
+// neighbors directly and batches the other neighbors' IDs.
 //
 //distec:hotpath
-func (w *worker) sendPhase(r, par int, t *local.Topology, shardOf []int32, st *runState) {
+func (w *worker) sendPhase(r, par int, t *local.Topology, shardOf []int32, st *runState, sent local.Store) {
 	w.out.reset(par)
+	w.arrive.reset(par)
 	for _, i32 := range w.active {
 		i := int(i32)
 		if w.wake[i-w.lo] > r {
+			continue
+		}
+		if w.bcast != nil {
+			if v, ok := w.bcast[i-w.lo].Broadcast(r); ok {
+				sent.Put(i, r, v)
+				for _, j := range t.Ports[i] {
+					if d := shardOf[j]; int(d) == w.id {
+						w.gotMsg[int(j)-w.lo]++
+					} else {
+						w.arrive.put(par, d, j)
+					}
+				}
+				w.sent += int64(len(t.Ports[i]))
+			}
 			continue
 		}
 		out := w.procs[i-w.lo].Send(r)
@@ -133,14 +164,16 @@ func (w *worker) sendPhase(r, par int, t *local.Topology, shardOf []int32, st *r
 }
 
 // deliverPhase drains the parity-par batches addressed to this shard from
-// every source worker into the owned entities' parity-par inboxes. Stale
-// slots from the buffer's previous use (round r−2) and last round's delivery
-// counters are cleared sparsely first, exactly like the sequential engine.
+// every source worker into the owned entities' parity-par inboxes and
+// arrival counts. Stale slots from the buffer's previous use (round r−2)
+// are cleared sparsely first, exactly like the sequential engine.
 //
 //distec:hotpath
 func (w *worker) deliverPhase(par int, workers []*worker) {
-	for _, s := range w.touched[1-par] {
-		w.gotMsg[s.ent] = 0
+	for _, src := range workers {
+		for _, j := range src.arrive.batch(par, w.id) {
+			w.gotMsg[int(j)-w.lo]++
+		}
 	}
 	tb := w.touched[par]
 	for _, s := range tb {
@@ -158,18 +191,20 @@ func (w *worker) deliverPhase(par int, workers []*worker) {
 	w.touched[par] = tb
 }
 
-// receivePhase runs Receive/ReceiveNone for the owned entities and compacts
-// the active list, preserving ascending order. The sleep/sparse logic is a
-// line-for-line mirror of local.SeqExec.Round so results stay bit-identical.
+// receivePhase runs Receive/ReceiveBroadcast/ReceiveNone for the owned
+// entities and compacts the active list, preserving ascending order. The
+// sleep/sparse logic is a line-for-line mirror of local.SeqExec.Round so
+// results stay bit-identical.
 //
 //distec:hotpath
-func (w *worker) receivePhase(r, par int) {
+func (w *worker) receivePhase(r, par int, t *local.Topology, sent local.Store) {
 	keep := w.active[:0]
 	received := 0
 	before := len(w.active)
 	for _, i32 := range w.active {
 		li := int(i32) - w.lo
 		got := w.gotMsg[li]
+		w.gotMsg[li] = 0
 		if w.wake[li] > r && got == 0 {
 			keep = append(keep, i32)
 			continue
@@ -184,7 +219,11 @@ func (w *worker) receivePhase(r, par int) {
 				w.wake[li] = w.sleepers[li].NextWake(r)
 			}
 		} else {
-			done = w.procs[li].Receive(r, w.inbox[par][li])
+			if w.bcast != nil {
+				done = w.bcast[li].ReceiveBroadcast(r, sent.Received(t.Ports[i32], r))
+			} else {
+				done = w.procs[li].Receive(r, w.inbox[par][li])
+			}
 			w.wake[li] = 0
 		}
 		if !done {

@@ -39,27 +39,26 @@ func DistributedCheck(t *local.Topology, colors []int, run local.Engine) (bool, 
 	return true, stats, nil
 }
 
+// checkProto is the one-round check: every entity broadcasts its color (a
+// local.Broadcaster) and compares it with its neighbors'.
 type checkProto struct {
 	v        local.View
 	color    int
 	verdicts []bool
 }
 
-func (cp *checkProto) Send(r int) []local.Message {
-	msgs := make([]local.Message, cp.v.Degree)
-	for p := range msgs {
-		msgs[p] = cp.color
-	}
-	return msgs
-}
+func (cp *checkProto) Send(r int) []local.Message { return local.SendPerPort(cp, r, cp.v.Degree) }
 
 func (cp *checkProto) Receive(r int, inbox []local.Message) bool {
+	return local.ReceivePerPort(cp, r, inbox)
+}
+
+func (cp *checkProto) Broadcast(r int) (int, bool) { return cp.color, true }
+
+func (cp *checkProto) ReceiveBroadcast(r int, in local.Broadcasts) bool {
 	ok := cp.color >= 0
-	for _, m := range inbox {
-		if m == nil {
-			continue
-		}
-		if m.(int) == cp.color {
+	for p := 0; p < in.Len(); p++ {
+		if c, sent := in.At(p); sent && c == cp.color {
 			ok = false
 		}
 	}
