@@ -8,9 +8,10 @@ import (
 
 // newHotPath builds the hotpath analyzer. Functions marked
 // //distec:hotpath are the per-round engine loops, mailbox delivery,
-// and the WAL append path — code the benchmarks hold to near-zero
-// allocation and the ≤2% disabled-tracer overhead gate. Inside a marked
-// function the analyzer flags:
+// the solver's per-member list pruning and the WAL append path — code
+// the benchmarks hold to near-zero allocation and the ≤2%
+// disabled-tracer overhead gate. Inside a marked function the analyzer
+// flags:
 //
 //   - fmt.* calls, unless the innermost enclosing block is a nested
 //     early-exit ending in return (the cold error-path shape);

@@ -85,6 +85,17 @@ func newSolver(pairs [][2]int64, active []bool, lists [][]int, c int, params Par
 // instance (Theorem 4.1's O(log* n) preamble, seeded with item indices
 // from a universe of m items) and installs it on the solver.
 func (s *Solver) prepare(inst instance, m int) (local.Stats, error) {
+	s.baseCols = make([]int, m)
+	if maxDeg := inst.sys.MaxDegree(); maxDeg > 0 && len(linial.Plan(m, maxDeg)) == 0 {
+		// No Linial step shrinks m colors at this degree, so the item
+		// indices, already a proper coloring, are the preamble's output,
+		// as linial.Reduce would return them: zero rounds, no topology.
+		for _, e := range inst.items {
+			s.baseCols[e] = int(e)
+		}
+		s.baseX = m
+		return local.Stats{}, nil
+	}
 	topo := inst.sys.Topology()
 	init := make([]int, len(inst.items))
 	for k, e := range inst.items {
@@ -95,7 +106,6 @@ func (s *Solver) prepare(inst instance, m int) (local.Stats, error) {
 	if err != nil {
 		return st, fmt.Errorf("core: initial Linial coloring: %w", err)
 	}
-	s.baseCols = make([]int, m)
 	for k, e := range inst.items {
 		s.baseCols[e] = cols[k]
 	}

@@ -37,12 +37,20 @@ func pick[T any](xs []T, keep []int32) []T {
 
 // Solver executes the paper's algorithm with fixed parameters over one item
 // universe. It is created per Solve call and is not safe for concurrent use.
+//
+// seen is prunedList's palette-indexed scratch: while a member is pruned,
+// seen[c] == stamp marks color c as taken next to it. Calls to prunedList
+// never nest, so one scratch serves the top level, every class instance and
+// every virtual recursion; it grows to the largest palette seen, and each
+// call takes a fresh stamp, which a 64-bit counter never repeats.
 type Solver struct {
 	params   Params
 	run      local.Engine
 	baseCols []int // proper O(Δ̄²)-coloring of the full active conflict system
 	baseX    int
 	trace    *Trace
+	seen     []uint64
+	stamp    uint64
 }
 
 // Result is the outcome of Solve.
@@ -282,25 +290,30 @@ func (s *Solver) finishBase(inst instance, cur []int32, colors []int) (local.Sta
 }
 
 // prunedList returns member k's list minus the colors of its already-colored
-// neighbors in the instance (information one announcement round away).
+// neighbors in the instance (information one announcement round away): the
+// list itself when no neighbor is colored, a fresh slice otherwise.
+//
+//distec:hotpath
 func (s *Solver) prunedList(inst instance, colors []int, k int32) []int {
-	var used map[int]bool
+	if len(s.seen) < inst.c {
+		s.seen = make([]uint64, inst.c)
+	}
+	s.stamp++
+	colored := false
 	for _, side := range inst.sys.Key[k] {
 		for _, f := range inst.sys.Side(side) {
 			if f != k && colors[f] >= 0 {
-				if used == nil {
-					used = make(map[int]bool)
-				}
-				used[colors[f]] = true
+				s.seen[colors[f]] = s.stamp
+				colored = true
 			}
 		}
 	}
-	if used == nil {
+	if !colored {
 		return inst.lists[k]
 	}
 	out := make([]int, 0, len(inst.lists[k]))
 	for _, c := range inst.lists[k] {
-		if !used[c] {
+		if s.seen[c] != s.stamp {
 			out = append(out, c)
 		}
 	}

@@ -45,18 +45,20 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	}
 
 	// Per-member partition counts and levels (all local computation).
+	// counts[k] = |L_k ∩ C_j| over j is member k's window of one n×q slab.
+	slab := make([]int, n*q)
 	counts := make([][]int, n)
 	level := make([]int, n)
 	maxLevel := int(math.Log2(float64(q)))
 	for k, l := range inst.lists {
-		offsets := make([]int, len(l))
-		for i, c := range l {
-			offsets[i] = c - in.lo[k]
-			if offsets[i] < 0 || offsets[i] >= in.size {
+		counts[k] = slab[k*q : (k+1)*q : (k+1)*q]
+		for _, c := range l {
+			off := c - in.lo[k]
+			if off < 0 || off >= in.size {
 				return res, fmt.Errorf("core: item %d color %d outside its interval [%d,%d)", inst.items[k], c, in.lo[k], in.lo[k]+in.size)
 			}
+			counts[k][pt.PartOf(off)]++
 		}
-		counts[k] = pt.Counts(offsets)
 		lv, ok := Level(counts[k], len(l))
 		if !ok {
 			return res, fmt.Errorf("core: item %d has no level (Lemma 4.4 violated — bug)", inst.items[k])
@@ -72,7 +74,7 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	// below still measures the damage, but never asserts).
 	if s.params.DirectAssignment {
 		for k := range res.assign {
-			res.assign[k] = sortedByCountDesc(counts[k])[0]
+			res.assign[k] = largestPart(counts[k])
 			s.trace.DirectAssigns++
 		}
 		res.stats.Rounds++ // announcing the choice
@@ -85,7 +87,7 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	// phase schedule.
 	for k := range res.assign {
 		if level[k] <= 3 {
-			res.assign[k] = sortedByCountDesc(counts[k])[0]
+			res.assign[k] = largestPart(counts[k])
 			s.trace.DirectAssigns++
 		}
 	}
@@ -128,6 +130,18 @@ func (s *Solver) assignSubspaces(in assignInput) (assignResult, error) {
 	// Eq. (2) audit: measure the worst degradation factor and, in strict
 	// mode, assert the paper's bound.
 	return res, s.auditEq2(in, res, counts, s.params.Strict)
+}
+
+// largestPart returns the part with the largest count, the lowest index on
+// ties: the first part of sortedByCountDesc's order.
+func largestPart(counts []int) int {
+	best := 0
+	for j, c := range counts {
+		if c > counts[best] {
+			best = j
+		}
+	}
+	return best
 }
 
 // auditEq2 measures the Eq. (2) degradation factor of every assigned member
