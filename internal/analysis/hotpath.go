@@ -8,7 +8,8 @@ import (
 
 // newHotPath builds the hotpath analyzer. Functions marked
 // //distec:hotpath are the per-round engine loops, mailbox delivery,
-// the solver's per-member list pruning and the WAL append path — code
+// the per-round receives of Linial's reducer and the greedy base, the
+// solver's per-member list pruning and the WAL append path — code
 // the benchmarks hold to near-zero allocation and the ≤2%
 // disabled-tracer overhead gate. Inside a marked function the analyzer
 // flags:

@@ -1,7 +1,7 @@
 // Package gf provides the small finite-field toolkit behind Linial's
 // cover-free-family color reduction: primality testing, next-prime search,
 // base-q digit decomposition of color values, and polynomial evaluation over
-// GF(q) for prime q.
+// GF(q) for prime q from a table of powers.
 //
 // Linial's construction identifies a color c < q^(d+1) with the polynomial
 // whose coefficients are the base-q digits of c; two distinct colors map to
@@ -61,14 +61,32 @@ func Digits(dst []int, value, q, width int) []int {
 	return dst
 }
 
-// Eval evaluates the polynomial with the given coefficients (least
-// significant first) at point a over GF(q): Σ coeffs[i]·a^i mod q.
-// Coefficients and the point must already be reduced mod q.
-func Eval(coeffs []int, a, q int) int {
-	// Horner's rule, highest coefficient first.
-	acc := 0
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*a + coeffs[i]) % q
+// Powers appends the table of a^i mod q for the points a < points and
+// the exponents i < width, one row of width entries per point (a's row
+// starts at a·width), and returns the extended slice. A row is what Eval
+// takes: built once, it turns every later evaluation at a into one
+// reduction mod q.
+func Powers(dst []int, q, points, width int) []int {
+	for a := 0; a < points; a++ {
+		p := 1 % q
+		for i := 0; i < width; i++ {
+			dst = append(dst, p)
+			p = p * a % q
+		}
 	}
-	return acc
+	return dst
+}
+
+// Eval evaluates the polynomial with the given coefficients (least
+// significant first) over GF(q) at the point a whose powers row is pows
+// (pows[i] = a^i mod q, from Powers): Σ coeffs[i]·pows[i] mod q, reduced
+// once. Coefficients must already be reduced mod q, and len(coeffs)·(q−1)²
+// must fit in an int, which holds whenever the coefficients fit 63 bits
+// together.
+func Eval(coeffs, pows []int, q int) int {
+	acc := 0
+	for i, c := range coeffs {
+		acc += c * pows[i]
+	}
+	return acc % q
 }

@@ -73,7 +73,7 @@ func TestEvalMatchesNaive(t *testing.T) {
 		coeffs := []int{int(c0) % q, int(c1) % q, int(c2) % q}
 		a := int(aRaw) % q
 		naive := (coeffs[0] + coeffs[1]*a + coeffs[2]*a*a) % q
-		return Eval(coeffs, a, q) == naive
+		return Eval(coeffs, Powers(nil, q, q, 3)[3*a:], q) == naive
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -86,13 +86,14 @@ func TestPolynomialAgreementBound(t *testing.T) {
 	q := 13
 	d := 2
 	width := d + 1
+	pows := Powers(nil, q, q, width)
 	for x := 0; x < q*q*q; x += 7 {
 		for y := x + 1; y < q*q*q; y += 97 {
 			cx := Digits(nil, x, q, width)
 			cy := Digits(nil, y, q, width)
 			agree := 0
 			for a := 0; a < q; a++ {
-				if Eval(cx, a, q) == Eval(cy, a, q) {
+				if Eval(cx, pows[a*width:], q) == Eval(cy, pows[a*width:], q) {
 					agree++
 				}
 			}

@@ -274,9 +274,11 @@ func TestBroadcastRoundsAllocationFree(t *testing.T) {
 		plan[i] = s
 	}
 	factory := func(out []int, errs *local.ErrorSink) local.Factory {
-		return func(v local.View) local.Protocol {
-			return &reducer{v: v, color: init[v.Index], plan: plan, k: s.Q * s.Q, target: tp.MaxDeg + 1, out: out, errs: errs}
+		rn, err := newReduction(tp.N(), plan, s.Q*s.Q, tp.MaxDeg+1, tp.MaxDeg, out, errs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return func(v local.View) local.Protocol { return rn.entity(v, init[v.Index]) }
 	}
 	engines := []struct {
 		name  string

@@ -2,6 +2,7 @@ package listcolor
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
@@ -51,30 +52,61 @@ func SolveBase(in *Instance, initColors []int, initX int, run local.Engine) ([]i
 	return out, stats, nil
 }
 
-// greedyByClass is the per-edge protocol of the greedy phase: the edge whose
-// Linial class is c picks, in round c+1, the smallest color of its list not
-// taken by an already-colored conflicting edge, and announces it (a
-// local.Broadcaster).
-type greedyByClass struct {
-	v      local.View
-	class  int
+// greedyRun is one greedy phase's shared state and the slabs its entities
+// live in: the protocol values, and one window per entity of its degree's
+// length in heard for the colors its neighbors announce.
+type greedyRun struct {
 	k      int
-	list   []int
-	taken  map[int]bool
-	color  int
-	picked bool
 	chosen []int
 	errs   *local.ErrorSink
+	slab   []greedyByClass
+	heard  []int
 }
 
-func (gb *greedyByClass) Send(r int) []local.Message { return local.SendPerPort(gb, r, gb.v.Degree) }
+// newGreedyRun lays out the greedy phase of t's entities with their
+// classes and lists.
+func newGreedyRun(t *local.Topology, classes []int, k int, lists [][]int, chosen []int, errs *local.ErrorSink) *greedyRun {
+	g := &greedyRun{k: k, chosen: chosen, errs: errs, slab: make([]greedyByClass, t.N())}
+	ends := 0
+	for i := range t.Ports {
+		ends += len(t.Ports[i])
+	}
+	g.heard = make([]int, ends)
+	off := 0
+	for i := range g.slab {
+		d := len(t.Ports[i])
+		g.slab[i] = greedyByClass{g: g, index: int32(i), degree: int32(d), class: int32(classes[i]), list: lists[i], heard: g.heard[off : off : off+d]}
+		off += d
+	}
+	return g
+}
+
+// greedyByClass is the per-edge protocol of the greedy phase: the edge whose
+// Linial class is c picks, in round c+1, the first color of its list not
+// taken by an already-colored conflicting edge, and announces it (a
+// local.Broadcaster). Each neighbor announces once, so the colors heard fit
+// a degree-sized window.
+type greedyByClass struct {
+	g      *greedyRun
+	index  int32
+	degree int32
+	class  int32
+	list   []int
+	heard  []int // colors neighbors announced, within a degree-sized window
+	color  int
+	picked bool
+}
+
+func (gb *greedyByClass) Send(r int) []local.Message {
+	return local.SendPerPort(gb, r, int(gb.degree))
+}
 
 func (gb *greedyByClass) Receive(r int, inbox []local.Message) bool {
 	return local.ReceivePerPort(gb, r, inbox)
 }
 
 func (gb *greedyByClass) Broadcast(r int) (int, bool) {
-	if r != gb.class+1 {
+	if r != int(gb.class)+1 {
 		return 0, false
 	}
 	gb.pick()
@@ -84,23 +116,21 @@ func (gb *greedyByClass) Broadcast(r int) (int, bool) {
 func (gb *greedyByClass) pick() {
 	gb.picked = true
 	for _, c := range gb.list {
-		if !gb.taken[c] {
+		if !slices.Contains(gb.heard, c) {
 			gb.color = c
 			return
 		}
 	}
-	gb.errs.Set(fmt.Errorf("listcolor: edge entity %d (class %d) has no free color: |L|=%d, %d taken",
-		gb.v.Index, gb.class, len(gb.list), len(gb.taken)))
+	gb.g.errs.Set(fmt.Errorf("listcolor: edge entity %d (class %d) has no free color: |L|=%d, %d heard",
+		gb.index, gb.class, len(gb.list), len(gb.heard)))
 	gb.color = -1
 }
 
+//distec:hotpath
 func (gb *greedyByClass) ReceiveBroadcast(r int, in local.Broadcasts) bool {
 	for p := 0; p < in.Len(); p++ {
 		if c, sent := in.At(p); sent && c >= 0 {
-			if gb.taken == nil {
-				gb.taken = make(map[int]bool)
-			}
-			gb.taken[c] = true
+			gb.heard = append(gb.heard, c)
 		}
 	}
 	return gb.endOfRound(r)
@@ -113,23 +143,25 @@ func (gb *greedyByClass) ReceiveNone(r int) bool {
 	return gb.endOfRound(r)
 }
 
-// NextWake implements local.Sleeper: until its class's round, a quiet edge
-// neither sends nor changes state, so the engine may skip it entirely.
-func (gb *greedyByClass) NextWake(r int) int { return gb.class + 1 }
+// NextWake implements local.Sleeper: until its class's round, an edge
+// sends nothing and changes state only when a neighbor announces, so the
+// engine may skip it until then.
+func (gb *greedyByClass) NextWake(r int) int { return int(gb.class) + 1 }
 
 func (gb *greedyByClass) endOfRound(r int) bool {
-	if r >= gb.class+1 {
-		// This edge has announced; its color is final. Halting here (rather
-		// than waiting out all k classes) is sound: halting is a per-entity
-		// decision in the LOCAL model, and everything this edge will ever
-		// send has been delivered.
-		gb.chosen[gb.v.Index] = gb.color
-		if !gb.picked {
-			gb.errs.Set(fmt.Errorf("listcolor: edge entity %d class %d never picked (k=%d)", gb.v.Index, gb.class, gb.k))
-		}
+	if r < int(gb.class)+1 {
+		return false
+	}
+	// This edge has announced; its color is final. Halting here (rather
+	// than waiting out all k classes) is sound: halting is a per-entity
+	// decision in the LOCAL model, and everything this edge will ever
+	// send has been delivered.
+	gb.g.chosen[gb.index] = gb.color
+	if !gb.picked {
+		gb.g.errs.Set(fmt.Errorf("listcolor: edge entity %d class %d never picked (k=%d)", gb.index, gb.class, gb.g.k))
 		return true
 	}
-	return false
+	return true
 }
 
 // GreedySequential is the centralized greedy oracle: edges in EdgeID order

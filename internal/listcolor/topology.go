@@ -30,20 +30,10 @@ func SolveOnTopology(t *local.Topology, initial []int, x int, lists [][]int, run
 	if err != nil {
 		return nil, stats, err
 	}
-	k := linial.Colors(x, t.MaxDeg)
 	chosen := make([]int, t.N())
 	errs := &local.ErrorSink{}
-	factory := func(v local.View) local.Protocol {
-		return &greedyByClass{
-			v:      v,
-			class:  classes[v.Index],
-			k:      k,
-			list:   lists[v.Index],
-			chosen: chosen,
-			errs:   errs,
-		}
-	}
-	gs, err := run.Run(t, factory, nil)
+	g := newGreedyRun(t, classes, linial.Colors(x, t.MaxDeg), lists, chosen, errs)
+	gs, err := run.Run(t, func(v local.View) local.Protocol { return &g.slab[v.Index] }, nil)
 	stats.Rounds += gs.Rounds
 	stats.Messages += gs.Messages
 	if err != nil {

@@ -50,17 +50,29 @@ type variant struct {
 	name      string
 	run       local.Engine
 	broadcast bool // the broadcast path is visible
+	stepped   bool // the sparse and sleeper fast paths are hidden
 }
 
 // variants runs every engine (sequential; sharded with 1, 2 and n+1
-// shards) with the broadcast path and with it hidden. The broadcast
-// variants require every protocol built to be a Broadcaster.
+// shards) with the broadcast path, with it hidden, and with it kept but
+// the sparse and sleeper fast paths hidden — then every broadcaster is
+// stepped in every round until it halts, as the engines ran every entity
+// before wake buckets. The broadcast variants require every protocol
+// built to be a Broadcaster.
 func variants(t *testing.T, n int) []variant {
 	fast := func(p local.Protocol) local.Protocol {
 		if _, ok := p.(local.Broadcaster); !ok {
 			t.Errorf("%T is not a local.Broadcaster", p)
 		}
 		return p
+	}
+	stepped := func(p local.Protocol) local.Protocol {
+		b, ok := p.(local.Broadcaster)
+		if !ok {
+			t.Errorf("%T is not a local.Broadcaster", p)
+			return p
+		}
+		return struct{ local.Broadcaster }{b}
 	}
 	var out []variant
 	for _, eng := range []local.Engine{
@@ -70,8 +82,9 @@ func variants(t *testing.T, n int) []variant {
 		sharded.New(sharded.Config{Shards: n + 1}),
 	} {
 		out = append(out,
-			variant{eng.Name() + "/broadcast", wrapped{eng, fast}, true},
-			variant{eng.Name() + "/per-port", wrapped{eng, perPort}, false})
+			variant{eng.Name() + "/broadcast", wrapped{eng, fast}, true, false},
+			variant{eng.Name() + "/per-port", wrapped{eng, perPort}, false, false},
+			variant{eng.Name() + "/stepped", wrapped{eng, stepped}, true, true})
 	}
 	return out
 }
@@ -92,9 +105,9 @@ func roundProfile(tr *trace.Trace) []string {
 
 // TestBroadcastPathMatchesPerPort runs every protocol on the broadcast
 // path — Linial's Reduce, ReduceToTarget and ThreeColorPaths, the greedy
-// base, the randomized trials and the distributed check — with the path
-// and with it hidden, on every engine, and requires identical outputs,
-// Stats and per-round trace events.
+// base, the randomized trials and the distributed check — with the path,
+// with it hidden, and stepped every round, on every engine, and requires
+// identical outputs, Stats and per-round trace events.
 func TestBroadcastPathMatchesPerPort(t *testing.T) {
 	g := graph.RandomRegular(40, 5, 3)
 	tp := local.EdgeConflict(g)
@@ -318,8 +331,10 @@ func (a *alarm) NextWake(r int) int {
 func (a *alarm) finished(r int) bool { return r >= 10 || (a.v.Index == 0 && r >= 2) }
 
 // TestBroadcastWakesSleeper: a broadcast wakes a sleeping neighbor in the
-// round it is sent, and ReceiveNone still runs in the quiet rounds an
-// entity is awake for — identically on both paths and every engine.
+// round it is sent, the engine asks the woken sleeper for its next wake
+// again, and ReceiveNone still runs in the quiet rounds an entity is awake
+// for — identically on both paths and every engine. Stepped entities hear
+// the same broadcast and never take the quiet path.
 func TestBroadcastWakesSleeper(t *testing.T) {
 	tp := local.FromGraph(graph.Star(6))
 	for _, v := range variants(t, tp.N()) {
@@ -334,16 +349,20 @@ func TestBroadcastWakesSleeper(t *testing.T) {
 		if want := (local.Stats{Rounds: 10, Messages: 5}); stats != want {
 			t.Errorf("%s: stats %+v, want %+v", v.name, stats, want)
 		}
+		// Quiet in round 1 (then asleep until 10), woken in round 2 and
+		// put back to sleep until 10, quiet at the wake-up round 10.
+		wantLeaf, wantCenter := 2, 2
+		if v.stepped {
+			wantLeaf, wantCenter = 0, 0
+		}
 		for i := 1; i < tp.N(); i++ {
-			// Quiet in round 1 (then asleep), woken in round 2, quiet in
-			// round 3 (asleep again) and at the wake-up round 10.
-			if heardAt[i] != 2 || quiet[i] != 3 {
-				t.Errorf("%s: leaf %d heard at round %d after %d quiet rounds, want round 2 and 3", v.name, i, heardAt[i], quiet[i])
+			if heardAt[i] != 2 || quiet[i] != wantLeaf {
+				t.Errorf("%s: leaf %d heard at round %d after %d quiet rounds, want round 2 and %d", v.name, i, heardAt[i], quiet[i], wantLeaf)
 			}
 		}
 		// The center hears nothing in either of its rounds.
-		if quiet[0] != 2 {
-			t.Errorf("%s: center had %d quiet rounds, want 2", v.name, quiet[0])
+		if quiet[0] != wantCenter {
+			t.Errorf("%s: center had %d quiet rounds, want %d", v.name, quiet[0], wantCenter)
 		}
 	}
 }

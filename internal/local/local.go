@@ -25,6 +25,10 @@
 //     neighbors' shards delivered, so bit-identical results cross-check
 //     that every protocol is an honest message-passing program.
 //
+// Both drive their entities through Blocks, which visit in a round only
+// the entities that are due and those a message reached; sleepers wait
+// under their wake round.
+//
 // Entities know, at start: their own ID, their degree, the global entity
 // count and the global maximum degree (standard LOCAL assumptions; the paper
 // additionally lets every node know n and Δ), and nothing else: a View
@@ -95,14 +99,17 @@ type SparseReceiver interface {
 	ReceiveNone(r int) (done bool)
 }
 
-// Sleeper is an optional event-driven fast path: after a quiet round r (no
-// messages received), NextWake(r) promises that — absent incoming messages —
-// the entity will send nothing and its ReceiveNone will not halt it before
-// round NextWake(r). Both engines then skip the entity entirely until that
-// round or until a message arrives, turning long deterministic schedules
-// (one class per round) into event-driven simulation. Results are identical
-// to ticking the entity every round because skipped calls are no-ops by
-// contract.
+// Sleeper is an optional event-driven fast path: after every round r an
+// entity survives, the engines ask NextWake(r), which promises that —
+// absent incoming messages — the entity will send nothing and its
+// ReceiveNone will not change its state or halt it before round
+// NextWake(r). A value above r+1 files the entity under that wake round,
+// and no round visits it until then or until a message reaches it; a
+// woken sleeper is asked again after the round it was woken in. Results
+// are identical to ticking the entity every round because the skipped
+// calls are no-ops by contract, and a round in which no entity is due and
+// nothing is sent costs the engines O(1): long deterministic schedules
+// (one class per round) become event-driven simulation.
 type Sleeper interface {
 	SparseReceiver
 	NextWake(r int) int

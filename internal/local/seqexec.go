@@ -2,6 +2,7 @@ package local
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"github.com/distec/distec/internal/trace"
@@ -17,32 +18,30 @@ import (
 //
 // A run whose every entity is a Broadcaster keeps one value per entity per
 // round in a Store and no inboxes; any other run gets two port-indexed
-// inboxes per entity. Inbox buffers are cleared sparsely (only slots written
-// in a buffer's previous use) and an entity's arrival count when the receive
-// loop visits it, so a round's cost is O(active entities + messages) rather
-// than O(total ports) — essential for long, sparse schedules such as the
-// one-class-per-round greedy phases.
+// inboxes per entity, cleared sparsely (only slots written in a buffer's
+// previous use). Its entities live in one Block, so a round visits only
+// the entities that are due and those a message reached, and a round's
+// cost is O(visited entities + messages): a round in which nothing is due
+// only polls Interrupt and records its trace event. That is what keeps
+// long, sparse schedules — one class per round — cheap.
 type SeqExec struct {
-	t        *Topology
-	opts     *Options
-	procs    []Protocol
-	bcast    []Broadcaster // non-nil on the broadcast path
-	sent     Store
-	sparse   []SparseReceiver
-	sleepers []Sleeper
-	wake     []int
-	inboxes  [][]Message
-	next     [][]Message
-	touched  [2][]slot
-	cur      int
-	gotMsg   []int32
-	order    []int32
-	limit    int
+	t       *Topology
+	opts    *Options
+	blk     *Block
+	sent    Store
+	inboxes [][]Message
+	next    [][]Message
+	touched [2][]slot
+	cur     int
+	limit   int
 
 	r     int
 	stats Stats
 	err   error
 	done  bool
+	// visits counts the entities the receive phases examined (every
+	// entity a send phase visits is among them).
+	visits int64
 	// span is the trace span for this execution (nil when tracing is off;
 	// every use is behind a nil test, the whole disabled cost).
 	span *trace.Span
@@ -53,28 +52,13 @@ type SeqExec struct {
 func NewSeqExec(t *Topology, f Factory, opts *Options) *SeqExec {
 	n := t.N()
 	x := &SeqExec{
-		t:        t,
-		opts:     opts,
-		procs:    make([]Protocol, n),
-		sparse:   make([]SparseReceiver, n),
-		sleepers: make([]Sleeper, n),
-		wake:     make([]int, n),
-		gotMsg:   make([]int32, n),
-		order:    make([]int32, n),
-		limit:    opts.RoundLimit(),
-		span:     opts.Tracer().StartSpan("sequential", n),
+		t:     t,
+		opts:  opts,
+		blk:   NewBlock(t, f, 0, n),
+		limit: opts.RoundLimit(),
+		span:  opts.Tracer().StartSpan("sequential", n),
 	}
-	for i := 0; i < n; i++ {
-		x.procs[i] = f(t.ViewOf(i))
-		if sr, ok := x.procs[i].(SparseReceiver); ok {
-			x.sparse[i] = sr
-		}
-		if sl, ok := x.procs[i].(Sleeper); ok {
-			x.sleepers[i] = sl
-		}
-		x.order[i] = int32(i)
-	}
-	if x.bcast = Broadcasters(x.procs); x.bcast != nil {
+	if x.blk.Bcast != nil {
 		x.sent = NewStore(n)
 		return x
 	}
@@ -110,7 +94,8 @@ func (x *SeqExec) Round() bool {
 	if x.done {
 		return true
 	}
-	if len(x.order) == 0 {
+	b := x.blk
+	if b.Live() == 0 {
 		return x.finish()
 	}
 	r := x.r + 1
@@ -129,99 +114,86 @@ func (x *SeqExec) Round() bool {
 		roundStart = time.Now()
 	}
 	x.stats.Rounds = r
-	t, cur := x.t, x.cur
-	// Clear the stale entries of the buffer about to be written.
-	for _, s := range x.touched[cur] {
-		x.next[s.entity][s.port] = nil
-	}
-	x.touched[cur] = x.touched[cur][:0]
-	for _, i32 := range x.order {
-		i := int(i32)
-		if x.wake[i] > r {
-			continue
-		}
-		if x.bcast != nil {
-			if v, ok := x.bcast[i].Broadcast(r); ok {
-				x.sent.Put(i, r, v)
-				for _, j := range t.Ports[i] {
-					x.gotMsg[j]++
-				}
-				x.stats.Messages += int64(len(t.Ports[i]))
-			}
-			continue
-		}
-		out := x.procs[i].Send(r)
-		if out == nil {
-			continue
-		}
-		if len(out) != len(t.Ports[i]) {
-			x.err = fmt.Errorf("local: entity %d sent %d messages, has %d ports", i, len(out), len(t.Ports[i]))
+	var received, halted int
+	if b.Start(r) {
+		if !x.send(r) {
 			return x.finish()
 		}
-		for p, msg := range out {
-			if msg == nil {
-				continue
-			}
-			j := t.Ports[i][p]
-			back := t.Back[i][p]
-			x.next[j][back] = msg
-			x.touched[cur] = append(x.touched[cur], slot{entity: j, port: back})
-			x.gotMsg[j]++
-			x.stats.Messages++
-		}
+		var visited int
+		visited, received, halted = b.Receive(r, x.t, x.sent, x.inboxes)
+		x.visits += int64(visited)
 	}
-	x.inboxes, x.next = x.next, x.inboxes
-	x.cur = 1 - cur
-	w := 0
-	received := 0
-	before := len(x.order)
-	for _, i32 := range x.order {
-		i := int(i32)
-		got := x.gotMsg[i]
-		x.gotMsg[i] = 0
-		if x.wake[i] > r && got == 0 {
-			// Sleeping and nothing arrived: skip by contract.
-			x.order[w] = i32
-			w++
-			continue
-		}
-		if got != 0 {
-			received++
-		}
-		var done bool
-		if got == 0 && x.sparse[i] != nil {
-			done = x.sparse[i].ReceiveNone(r)
-			if !done && x.sleepers[i] != nil {
-				x.wake[i] = x.sleepers[i].NextWake(r)
-			}
-		} else {
-			if x.bcast != nil {
-				done = x.bcast[i].ReceiveBroadcast(r, x.sent.Received(t.Ports[i], r))
-			} else {
-				done = x.procs[i].Receive(r, x.inboxes[i])
-			}
-			x.wake[i] = 0
-		}
-		if !done {
-			x.order[w] = i32
-			w++
-		}
-	}
-	x.order = x.order[:w]
 	if x.span != nil {
 		x.span.Round(trace.RoundEvent{
 			Round:    r,
 			Duration: time.Since(roundStart),
 			Messages: x.stats.Messages - prevMsgs,
 			Received: received,
-			Halted:   before - w,
-			Active:   w,
+			Halted:   halted,
+			Active:   b.Live(),
 		})
 	}
-	if len(x.order) == 0 {
+	if b.Live() == 0 {
 		return x.finish()
 	}
 	return false
+}
+
+// send runs round r's send phase over the due entities and delivers what
+// they send, leaving it in x.inboxes on the per-port path. It reports
+// false, with x.err set, when an entity sent a malformed message vector.
+//
+//distec:hotpath
+func (x *SeqExec) send(r int) bool {
+	t, b := x.t, x.blk
+	if b.Bcast != nil {
+		for k, word := range b.Due() {
+			for ; word != 0; word &= word - 1 {
+				i := k<<6 | bits.TrailingZeros64(word)
+				if v, ok := b.Bcast[i].Broadcast(r); ok {
+					x.sent.Put(i, r, v)
+					for _, j := range t.Ports[i] {
+						b.Reach(int(j))
+					}
+					x.stats.Messages += int64(len(t.Ports[i]))
+				}
+			}
+		}
+		return true
+	}
+	cur := x.cur
+	// Clear the stale entries of the buffer about to be written.
+	for _, s := range x.touched[cur] {
+		x.next[s.entity][s.port] = nil
+	}
+	x.touched[cur] = x.touched[cur][:0]
+	for k, word := range b.Due() {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 | bits.TrailingZeros64(word)
+			out := b.Procs[i].Send(r)
+			if out == nil {
+				continue
+			}
+			if len(out) != len(t.Ports[i]) {
+				x.err = fmt.Errorf("local: entity %d sent %d messages, has %d ports", i, len(out), len(t.Ports[i]))
+				return false
+			}
+			for p, msg := range out {
+				if msg == nil {
+					continue
+				}
+				j := t.Ports[i][p]
+				back := t.Back[i][p]
+				x.next[j][back] = msg
+				x.touched[cur] = append(x.touched[cur], slot{entity: j, port: back})
+				b.Reach(int(j))
+				x.stats.Messages++
+			}
+		}
+	}
+	x.inboxes, x.next = x.next, x.inboxes
+	x.cur = 1 - cur
+	return true
 }
 
 // Rounds executes rounds until the execution finishes or the time budget

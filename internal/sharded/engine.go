@@ -12,18 +12,20 @@
 //
 // Exec is the engine's one round loop. Engine.Run drives an Exec to
 // completion, fanning each phase out on fresh goroutines; internal/serve
-// drives Execs through its shared worker lanes instead. A round costs two
-// barriers across the shards (not across entities) and one slice append
-// per message (on the broadcast path: one store write per sending entity,
-// one 4-byte count increment per port, and a 4-byte ID append for each
-// port whose neighbor lives in another shard), and its shards run in
-// parallel. Error-free runs are bit-identical to local.Sequential for every
+// drives Execs through its shared worker lanes instead. Each shard's
+// entities live in a local.Block, the sequential engine's own, so a shard
+// visits only its due entities and those a message reached. A round costs
+// two barriers across the shards (not across entities) and one slice
+// append per message (on the broadcast path: one store write per sending
+// entity, one bit set per port, and a 4-byte ID append for each port whose
+// neighbor lives in another shard), and its shards run in parallel. Error-free runs are bit-identical to local.Sequential for every
 // protocol in the repository (on a protocol error, each shard stops sending
 // at its own first bad entity, so the partial message count returned with
 // the error may differ from the sequential engine's): the receive order
 // within a shard is ascending entity order, inboxes and broadcast views are
-// port-indexed (so delivery order is immaterial), and the sparse/sleeper
-// fast paths mirror the sequential engine exactly.
+// port-indexed (so delivery order is immaterial), and the receive phase,
+// with the sparse and sleeper fast paths, is the sequential engine's
+// Block.Receive.
 package sharded
 
 import (

@@ -145,7 +145,7 @@ func prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 // local.Broadcaster, which puts the whole run on the broadcast path.
 func (x *Exec) broadcast() bool {
 	for _, w := range x.workers {
-		if w.bcast == nil {
+		if w.blk.Bcast == nil {
 			return false
 		}
 	}
@@ -241,7 +241,7 @@ func (x *Exec) Round(exec Executor) bool {
 	}
 	total := 0
 	for _, w := range x.workers {
-		total += len(w.active)
+		total += w.blk.Live()
 	}
 	if x.span != nil && st.getErr() == nil {
 		var msgs int64

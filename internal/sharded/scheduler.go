@@ -2,6 +2,7 @@ package sharded
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -40,7 +41,8 @@ type slot struct {
 	port int32
 }
 
-// worker owns one contiguous block of entities: their protocol state, their
+// worker owns one contiguous block of entities: their protocols and visit
+// schedule (a local.Block, the sequential engine's own), their
 // double-buffered inboxes (per-port runs only), and the outbox batches they
 // produce. Within a phase only the shard's own task mutates its fields;
 // cross-shard data flows only through outbox batches and the owned cells of
@@ -49,20 +51,15 @@ type worker struct {
 	id     int
 	lo, hi int // owned entity range [lo, hi)
 
-	procs    []local.Protocol
-	bcast    []local.Broadcaster // non-nil on the broadcast path
-	sparse   []local.SparseReceiver
-	sleepers []local.Sleeper
-
-	active  []int32 // still-active owned entities, ascending
-	wake    []int   // shard-local: round before which the entity sleeps
-	gotMsg  []int32 // shard-local: deliveries this round
+	blk     *local.Block
 	inbox   [2][][]local.Message
 	touched [2][]slot
 	out     outbox[delivery]
 	arrive  outbox[int32] // broadcast arrivals in other shards, by entity
 
 	sent int64
+	// visits counts the entities the receive phases examined.
+	visits int64
 
 	// Per-round trace counters: receivePhase records the entities that had
 	// a delivery and the entities that halted, and traced phase tasks add
@@ -73,39 +70,20 @@ type worker struct {
 }
 
 func newWorker(id, lo, hi, shards int, t *local.Topology, f local.Factory) *worker {
-	n := hi - lo
-	w := &worker{
-		id:       id,
-		lo:       lo,
-		hi:       hi,
-		procs:    make([]local.Protocol, n),
-		sparse:   make([]local.SparseReceiver, n),
-		sleepers: make([]local.Sleeper, n),
-		active:   make([]int32, n),
-		wake:     make([]int, n),
-		gotMsg:   make([]int32, n),
-		out:      newOutbox[delivery](shards),
-		arrive:   newOutbox[int32](shards),
+	return &worker{
+		id:     id,
+		lo:     lo,
+		hi:     hi,
+		blk:    local.NewBlock(t, f, lo, hi),
+		out:    newOutbox[delivery](shards),
+		arrive: newOutbox[int32](shards),
 	}
-	for li := 0; li < n; li++ {
-		i := lo + li
-		w.procs[li] = f(t.ViewOf(i))
-		if sr, ok := w.procs[li].(local.SparseReceiver); ok {
-			w.sparse[li] = sr
-		}
-		if sl, ok := w.procs[li].(local.Sleeper); ok {
-			w.sleepers[li] = sl
-		}
-		w.active[li] = int32(i)
-	}
-	w.bcast = local.Broadcasters(w.procs)
-	return w
 }
 
 // usePorts puts the worker on the per-port path: it drops its broadcasters
 // and builds its entities' double-buffered inboxes.
 func (w *worker) usePorts(t *local.Topology) {
-	w.bcast = nil
+	w.blk.Bcast = nil
 	n := w.hi - w.lo
 	w.inbox[0] = make([][]local.Message, n)
 	w.inbox[1] = make([][]local.Message, n)
@@ -116,63 +94,69 @@ func (w *worker) usePorts(t *local.Topology) {
 	}
 }
 
-// sendPhase runs Send for every awake owned entity and batches the output
-// into the parity-par outbox buffers by destination shard. On the broadcast
-// path it writes the entity's value into sent, counts arrivals at owned
-// neighbors directly and batches the other neighbors' IDs.
+// sendPhase starts round r on the worker's block and runs Send for every
+// due owned entity, batching the output into the parity-par outbox buffers
+// by destination shard. On the broadcast path it writes the entity's value
+// into sent, marks owned neighbors reached directly and batches the other
+// neighbors' IDs.
 //
 //distec:hotpath
 func (w *worker) sendPhase(r, par int, t *local.Topology, shardOf []int32, st *runState, sent local.Store) {
 	w.out.reset(par)
 	w.arrive.reset(par)
-	for _, i32 := range w.active {
-		i := int(i32)
-		if w.wake[i-w.lo] > r {
-			continue
-		}
-		if w.bcast != nil {
-			if v, ok := w.bcast[i-w.lo].Broadcast(r); ok {
-				sent.Put(i, r, v)
-				for _, j := range t.Ports[i] {
-					if d := shardOf[j]; int(d) == w.id {
-						w.gotMsg[int(j)-w.lo]++
-					} else {
-						w.arrive.put(par, d, j)
+	b := w.blk
+	if !b.Start(r) {
+		return
+	}
+	for k, word := range b.Due() {
+		for ; word != 0; word &= word - 1 {
+			li := k<<6 | bits.TrailingZeros64(word)
+			i := w.lo + li
+			if b.Bcast != nil {
+				if v, ok := b.Bcast[li].Broadcast(r); ok {
+					sent.Put(i, r, v)
+					for _, j := range t.Ports[i] {
+						if d := shardOf[j]; int(d) == w.id {
+							b.Reach(int(j) - w.lo)
+						} else {
+							w.arrive.put(par, d, j)
+						}
 					}
+					w.sent += int64(len(t.Ports[i]))
 				}
-				w.sent += int64(len(t.Ports[i]))
-			}
-			continue
-		}
-		out := w.procs[i-w.lo].Send(r)
-		if out == nil {
-			continue
-		}
-		if len(out) != len(t.Ports[i]) {
-			st.recordErr(i, fmt.Errorf("local: entity %d sent %d messages, has %d ports", i, len(out), len(t.Ports[i])))
-			return
-		}
-		for p, msg := range out {
-			if msg == nil {
 				continue
 			}
-			j := t.Ports[i][p]
-			w.out.put(par, shardOf[j], delivery{to: j, port: t.Back[i][p], msg: msg})
-			w.sent++
+			out := b.Procs[li].Send(r)
+			if out == nil {
+				continue
+			}
+			if len(out) != len(t.Ports[i]) {
+				st.recordErr(i, fmt.Errorf("local: entity %d sent %d messages, has %d ports", i, len(out), len(t.Ports[i])))
+				return
+			}
+			for p, msg := range out {
+				if msg == nil {
+					continue
+				}
+				j := t.Ports[i][p]
+				w.out.put(par, shardOf[j], delivery{to: j, port: t.Back[i][p], msg: msg})
+				w.sent++
+			}
 		}
 	}
 }
 
 // deliverPhase drains the parity-par batches addressed to this shard from
 // every source worker into the owned entities' parity-par inboxes and
-// arrival counts. Stale slots from the buffer's previous use (round r−2)
-// are cleared sparsely first, exactly like the sequential engine.
+// marks their recipients reached. Stale slots from the buffer's previous
+// use are cleared sparsely first, exactly like the sequential engine.
 //
 //distec:hotpath
 func (w *worker) deliverPhase(par int, workers []*worker) {
+	b := w.blk
 	for _, src := range workers {
 		for _, j := range src.arrive.batch(par, w.id) {
-			w.gotMsg[int(j)-w.lo]++
+			b.Reach(int(j) - w.lo)
 		}
 	}
 	tb := w.touched[par]
@@ -184,52 +168,19 @@ func (w *worker) deliverPhase(par int, workers []*worker) {
 		for _, d := range src.out.batch(par, w.id) {
 			li := d.to - int32(w.lo)
 			w.inbox[par][li][d.port] = d.msg
-			w.gotMsg[li]++
+			b.Reach(int(li))
 			tb = append(tb, slot{ent: li, port: d.port})
 		}
 	}
 	w.touched[par] = tb
 }
 
-// receivePhase runs Receive/ReceiveBroadcast/ReceiveNone for the owned
-// entities and compacts the active list, preserving ascending order. The
-// sleep/sparse logic is a line-for-line mirror of local.SeqExec.Round so
-// results stay bit-identical.
+// receivePhase runs the block's receive phase — the same code the
+// sequential engine runs, so results stay bit-identical.
 //
 //distec:hotpath
 func (w *worker) receivePhase(r, par int, t *local.Topology, sent local.Store) {
-	keep := w.active[:0]
-	received := 0
-	before := len(w.active)
-	for _, i32 := range w.active {
-		li := int(i32) - w.lo
-		got := w.gotMsg[li]
-		w.gotMsg[li] = 0
-		if w.wake[li] > r && got == 0 {
-			keep = append(keep, i32)
-			continue
-		}
-		if got != 0 {
-			received++
-		}
-		var done bool
-		if got == 0 && w.sparse[li] != nil {
-			done = w.sparse[li].ReceiveNone(r)
-			if !done && w.sleepers[li] != nil {
-				w.wake[li] = w.sleepers[li].NextWake(r)
-			}
-		} else {
-			if w.bcast != nil {
-				done = w.bcast[li].ReceiveBroadcast(r, sent.Received(t.Ports[i32], r))
-			} else {
-				done = w.procs[li].Receive(r, w.inbox[par][li])
-			}
-			w.wake[li] = 0
-		}
-		if !done {
-			keep = append(keep, i32)
-		}
-	}
-	w.active = keep
-	w.rReceived, w.rHalted = received, before-len(keep)
+	visited, received, halted := w.blk.Receive(r, t, sent, w.inbox[par])
+	w.visits += int64(visited)
+	w.rReceived, w.rHalted = received, halted
 }
