@@ -86,6 +86,8 @@ func (e CGEdge) String() string {
 
 // CallGraph is the module-wide call graph; build via Module.CallGraph.
 type CallGraph struct {
+	// nodes is keyed by the declared function. A call to a generic type's
+	// method names an instantiation of it, so lookups go through Origin.
 	nodes  map[*types.Func]*CGNode
 	static map[*ast.CallExpr]*CGNode
 	edges  []CGEdge
@@ -309,7 +311,7 @@ func (b *cgBuilder) indexAssignments() {
 		if fn == nil {
 			return
 		}
-		if node := b.g.nodes[fn]; node != nil {
+		if node := b.g.nodes[fn.Origin()]; node != nil {
 			b.assig[v] = append(b.assig[v], node)
 		}
 	}
@@ -408,7 +410,7 @@ func (b *cgBuilder) walkBody(caller *CGNode, pkg *Package) {
 				}
 				return true
 			}
-			if callee := b.g.nodes[obj]; callee != nil {
+			if callee := b.g.nodes[obj.Origin()]; callee != nil {
 				b.addEdge(caller, callee, EdgeStatic, call.Pos())
 				b.g.static[call] = callee
 			}
@@ -430,7 +432,7 @@ func (b *cgBuilder) walkBody(caller *CGNode, pkg *Package) {
 				return true
 			}
 			if fn, ok := info.Uses[n.Sel].(*types.Func); ok {
-				if callee := b.g.nodes[fn]; callee != nil {
+				if callee := b.g.nodes[fn.Origin()]; callee != nil {
 					b.addEdge(caller, callee, EdgeValue, n.Pos())
 				}
 				return false // n.Sel would re-trigger the Ident case below
@@ -440,7 +442,7 @@ func (b *cgBuilder) walkBody(caller *CGNode, pkg *Package) {
 				return true
 			}
 			if fn, ok := info.Uses[n].(*types.Func); ok {
-				if callee := b.g.nodes[fn]; callee != nil {
+				if callee := b.g.nodes[fn.Origin()]; callee != nil {
 					b.addEdge(caller, callee, EdgeValue, n.Pos())
 				}
 			}

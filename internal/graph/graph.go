@@ -10,10 +10,7 @@
 // for dense graphs.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // EdgeID densely identifies an edge of a Graph in insertion order.
 type EdgeID int32
@@ -175,26 +172,9 @@ func (g *Graph) ForEachEdgeNeighbor(e EdgeID, fn func(f EdgeID)) {
 	}
 }
 
-// EdgeNeighbors returns a fresh slice of all edges conflicting with e.
-func (g *Graph) EdgeNeighbors(e EdgeID) []EdgeID {
-	out := make([]EdgeID, 0, g.EdgeDegree(e))
-	g.ForEachEdgeNeighbor(e, func(f EdgeID) { out = append(out, f) })
-	return out
-}
-
 // Edges returns all edges by value, indexed by EdgeID. The returned slice is
 // the graph's internal storage and must not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }
-
-// DegreeHistogram returns a map degree -> node count, useful for workload
-// characterization in the experiment tables.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.n; v++ {
-		h[len(g.inc[v])]++
-	}
-	return h
-}
 
 // Validate performs an internal consistency check (incidence lists match the
 // edge array, no duplicates). It is O(n + m log m) and intended for tests.
@@ -243,15 +223,4 @@ func (g *Graph) Clone() *Graph {
 		c.index[k] = v
 	}
 	return c
-}
-
-// SortedNeighbors returns the neighbor node IDs of v in ascending order
-// (fresh slice).
-func (g *Graph) SortedNeighbors(v int) []int {
-	out := make([]int, 0, len(g.inc[v]))
-	for _, e := range g.inc[v] {
-		out = append(out, g.OtherEnd(e, v))
-	}
-	sort.Ints(out)
-	return out
 }

@@ -93,12 +93,11 @@ func TestEdgeNeighbors(t *testing.T) {
 	if mid < 0 {
 		t.Fatal("middle edge not found")
 	}
-	nbrs := g.EdgeNeighbors(mid)
-	if len(nbrs) != 2 {
-		t.Fatalf("middle edge has %d conflicts, want 2", len(nbrs))
-	}
 	seen := map[EdgeID]int{}
 	g.ForEachEdgeNeighbor(mid, func(f EdgeID) { seen[f]++ })
+	if len(seen) != 2 {
+		t.Fatalf("middle edge has %d conflicts, want 2", len(seen))
+	}
 	for f, c := range seen {
 		if c != 1 {
 			t.Fatalf("edge %d visited %d times, want exactly once", f, c)
@@ -321,31 +320,6 @@ func TestHandshakeAndLineDegreeBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := Star(5)
-	h := g.DegreeHistogram()
-	if h[4] != 1 || h[1] != 4 {
-		t.Fatalf("histogram = %v, want {4:1, 1:4}", h)
-	}
-}
-
-func TestSortedNeighbors(t *testing.T) {
-	g := New(5)
-	g.MustAddEdge(2, 4)
-	g.MustAddEdge(2, 0)
-	g.MustAddEdge(2, 3)
-	got := g.SortedNeighbors(2)
-	want := []int{0, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("SortedNeighbors = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedNeighbors = %v, want %v", got, want)
-		}
 	}
 }
 

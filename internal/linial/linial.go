@@ -246,7 +246,7 @@ func (rd *reducer) ReceiveBroadcast(r int, in local.Broadcasts) bool {
 	return false
 }
 
-// ReceiveNone implements local.SparseReceiver: ReceiveBroadcast with no
+// ReceiveNone implements local.Sleeper: ReceiveBroadcast with no
 // port sending.
 func (rd *reducer) ReceiveNone(r int) bool { return rd.ReceiveBroadcast(r, local.Broadcasts{}) }
 

@@ -136,7 +136,7 @@ func (gb *greedyByClass) ReceiveBroadcast(r int, in local.Broadcasts) bool {
 	return gb.endOfRound(r)
 }
 
-// ReceiveNone implements local.SparseReceiver: rounds in which no neighbor
+// ReceiveNone implements local.Sleeper: rounds in which no neighbor
 // announced need no inbox scan — the long quiet stretches of the
 // one-class-per-round schedule.
 func (gb *greedyByClass) ReceiveNone(r int) bool {

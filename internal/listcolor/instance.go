@@ -106,31 +106,6 @@ func (in *Instance) ActiveDegree(e graph.EdgeID) int {
 	return d
 }
 
-// MaxActiveDegree returns Δ̄ of the active conflict subgraph.
-func (in *Instance) MaxActiveDegree() int {
-	d := 0
-	for e := range in.Active {
-		if !in.Active[e] {
-			continue
-		}
-		if de := in.ActiveDegree(graph.EdgeID(e)); de > d {
-			d = de
-		}
-	}
-	return d
-}
-
-// NumActive returns the number of active edges.
-func (in *Instance) NumActive() int {
-	k := 0
-	for _, a := range in.Active {
-		if a {
-			k++
-		}
-	}
-	return k
-}
-
 // Validate checks structural well-formedness and, when slack ≥ 1 is given,
 // the slack invariant |Le| > slack·deg_active(e) for every active edge.
 // Pass slack 0 to skip the slack check.

@@ -215,12 +215,6 @@ func TestActiveDegree(t *testing.T) {
 	if got := in.ActiveDegree(0); got != 1 {
 		t.Fatalf("ActiveDegree after deactivation = %d, want 1", got)
 	}
-	if got := in.MaxActiveDegree(); got != 1 {
-		t.Fatalf("MaxActiveDegree = %d, want 1", got)
-	}
-	if got := in.NumActive(); got != 2 {
-		t.Fatalf("NumActive = %d, want 2", got)
-	}
 }
 
 // Property: SolveBase and GreedySequential both succeed and agree with the

@@ -1,31 +1,42 @@
 package local
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
 
 // Block is the share of a run's entities that one round loop drives — all
 // of them for the sequential engine, one shard's contiguous range for the
-// sharded engine. It owns their protocols and decides which of them a
-// round visits.
+// sharded engine. It owns their protocols and per-port inboxes, decides
+// which of them a round visits, and runs a round over them: Start, Send,
+// then Receive. A message for an entity outside the block leaves through an
+// Away; the sharded engine routes it to the receiver's shard, whose block
+// takes it in (Arrive, Deliver) between the two phases.
 //
 // A round visits the entities that are due — the awake ones, and the
 // sleepers whose wake round it is — plus those a message reached, in
 // ascending entity order. Sleepers are filed under their wake round in a
 // ring of intrusive lists (rounds beyond the ring's horizon wait in one
 // overflow list), so filing, moving and waking an entity are O(1), and a
-// round with nothing due and nothing sent costs O(1). Steady-state rounds
-// allocate nothing.
+// round with nothing due and nothing sent costs O(1). Each entity has one
+// inbox, cleared sparsely when the next round starts: a round's receive
+// phase ends before the next send phase begins, in both engines.
+// Steady-state rounds allocate nothing.
 type Block struct {
 	lo int
-	// Procs are the entities' protocols, by index within the block; Bcast
+	// procs are the entities' protocols, by index within the block; bcast
 	// holds the same values as Broadcasters on the broadcast path and is
-	// nil otherwise.
-	Procs    []Protocol
-	Bcast    []Broadcaster
-	sparse   []SparseReceiver
+	// nil otherwise; sleepers[li] is procs[li] as a Sleeper, or nil.
+	procs    []Protocol
+	bcast    []Broadcaster
 	sleepers []Sleeper
+
+	// inbox[li][p] is what entity li received on port p this round (per-port
+	// path only); touched lists the cells written, for the next round to
+	// clear.
+	inbox   [][]Message
+	touched []slot
 
 	// live, due and got are bitmaps over the block: unhalted entities,
 	// entities the current round's send phase visits, and entities a
@@ -44,19 +55,35 @@ type Block struct {
 	next, prev []int32
 }
 
+// slot identifies one inbox cell, by entity within the block and port.
+type slot struct {
+	entity int32
+	port   int32
+}
+
+// Away takes what a block's send phase addresses to entities outside the
+// block: Arrive, that a broadcast reached entity j; Deliver, msg for port
+// port of entity j. A Block is the Away of its own entities.
+type Away interface {
+	Arrive(j int32)
+	Deliver(j, port int32, msg Message)
+}
+
 // maxRing caps the ring of wake lists; sleepers filed further ahead wait
 // in the overflow list, which is re-examined once per lap of the ring.
 const maxRing = 1 << 16
 
 // NewBlock builds the protocols of entities lo..hi−1 of t with f. Every
-// entity starts awake, so round 1 visits all of them.
+// entity starts awake, so round 1 visits all of them. The block is on the
+// broadcast path when every entity is a Broadcaster; the engine calls
+// UsePorts when the run as a whole is not.
 func NewBlock(t *Topology, f Factory, lo, hi int) *Block {
 	n := hi - lo
 	words := (n + 63) / 64
 	b := &Block{
 		lo:       lo,
-		Procs:    make([]Protocol, n),
-		sparse:   make([]SparseReceiver, n),
+		procs:    make([]Protocol, n),
+		bcast:    make([]Broadcaster, n),
 		sleepers: make([]Sleeper, n),
 		live:     make([]uint64, words),
 		due:      make([]uint64, words),
@@ -66,15 +93,15 @@ func NewBlock(t *Topology, f Factory, lo, hi int) *Block {
 		wake:     make([]int32, n),
 		far:      -1,
 	}
-	for li := range b.Procs {
+	for li := range b.procs {
 		p := f(t.ViewOf(lo + li))
-		b.Procs[li] = p
-		if sr, ok := p.(SparseReceiver); ok {
-			b.sparse[li] = sr
+		b.procs[li] = p
+		if bc, ok := p.(Broadcaster); ok && b.bcast != nil {
+			b.bcast[li] = bc
+		} else {
+			b.bcast = nil
 		}
-		if sl, ok := p.(Sleeper); ok {
-			b.sleepers[li] = sl
-		}
+		b.sleepers[li], _ = p.(Sleeper)
 	}
 	for k := range b.live {
 		b.live[k] = math.MaxUint64
@@ -83,17 +110,33 @@ func NewBlock(t *Topology, f Factory, lo, hi int) *Block {
 		b.live[words-1] = 1<<tail - 1
 	}
 	copy(b.due, b.live)
-	b.Bcast = Broadcasters(b.Procs)
 	return b
+}
+
+// Broadcasting reports whether the block is on the broadcast path.
+func (b *Block) Broadcasting() bool { return b.bcast != nil }
+
+// UsePorts puts the block on the per-port path: it drops the broadcasters
+// and builds each entity's inbox.
+func (b *Block) UsePorts(t *Topology) {
+	b.bcast = nil
+	b.inbox = make([][]Message, len(b.procs))
+	for li := range b.inbox {
+		b.inbox[li] = make([]Message, len(t.Ports[b.lo+li]))
+	}
 }
 
 // Live returns the number of unhalted entities.
 func (b *Block) Live() int { return b.nLive }
 
-// Start begins round r: the sleepers filed for r become due. It reports
-// whether any entity is due, that is whether the send phase has anything
-// to visit.
+// Start begins round r: last round's inbox cells are cleared and the
+// sleepers filed for r become due. It reports whether any entity is due,
+// that is whether Send has anything to visit.
 func (b *Block) Start(r int) bool {
+	for _, s := range b.touched {
+		b.inbox[s.entity][s.port] = nil
+	}
+	b.touched = b.touched[:0]
 	b.anyGot = false
 	if b.ring != nil {
 		mask := len(b.ring) - 1
@@ -114,26 +157,88 @@ func (b *Block) Start(r int) bool {
 	return b.nDue > 0
 }
 
-// Due returns the bitmap of the entities the current round's send phase
-// visits: bit j of word k is the block's entity 64k+j.
-func (b *Block) Due() []uint64 { return b.due }
+// Send runs round r's send phase, after Start, over the due entities in
+// ascending order. A broadcast goes into sent, and a per-port message into
+// its receiver's inbox; a receiver outside the block is handed to away,
+// which may be nil when the block spans every entity. It returns the
+// messages sent and, when an entity sent a vector whose length is not its
+// degree, that entity and the error, at which the phase stops.
+//
+//distec:hotpath
+func (b *Block) Send(r int, t *Topology, sent Store, away Away) (msgs int64, bad int, err error) {
+	lo, n, got := b.lo, uint(len(b.procs)), b.got
+	for k, word := range b.due {
+		for ; word != 0; word &= word - 1 {
+			li := k<<6 | bits.TrailingZeros64(word)
+			i := lo + li
+			if b.bcast != nil {
+				v, ok := b.bcast[li].Broadcast(r)
+				if !ok {
+					continue
+				}
+				sent.Put(i, r, v)
+				ports := t.Ports[i]
+				for _, j := range ports {
+					// The sender is due, so Receive visits this block
+					// anyway: an arrival here needs its bit, not anyGot.
+					if lj := int(j) - lo; uint(lj) < n {
+						got[lj>>6] |= 1 << (lj & 63)
+					} else {
+						away.Arrive(j)
+					}
+				}
+				msgs += int64(len(ports))
+				continue
+			}
+			out := b.procs[li].Send(r)
+			if out == nil {
+				continue
+			}
+			ports := t.Ports[i]
+			if len(out) != len(ports) {
+				return msgs, i, fmt.Errorf("local: entity %d sent %d messages, has %d ports", i, len(out), len(ports))
+			}
+			for p, msg := range out {
+				if msg == nil {
+					continue
+				}
+				if j, back := ports[p], t.Back[i][p]; uint(int(j)-lo) < n {
+					b.Deliver(j, back, msg)
+				} else {
+					away.Deliver(j, back, msg)
+				}
+				msgs++
+			}
+		}
+	}
+	return msgs, 0, nil
+}
 
-// Reach records that a message reached the block's entity li this round.
-func (b *Block) Reach(li int) {
+// Arrive records that a message reached the block's entity j this round.
+func (b *Block) Arrive(j int32) {
+	li := int(j) - b.lo
 	b.got[li>>6] |= 1 << (li & 63)
 	b.anyGot = true
 }
 
+// Deliver puts msg into port port of the block's entity j for this round.
+func (b *Block) Deliver(j, port int32, msg Message) {
+	li := int(j) - b.lo
+	b.inbox[li][port] = msg
+	b.touched = append(b.touched, slot{entity: int32(li), port: port})
+	b.Arrive(j)
+}
+
 // Receive runs round r's receive phase over the due entities and those a
-// message reached, in ascending order: ReceiveNone for a SparseReceiver
-// that got nothing, ReceiveBroadcast (reading sent through t's ports) on
-// the broadcast path, Receive with inbox[li] otherwise. A survivor that is
-// a Sleeper is asked for its next wake and filed under it. It returns the
-// entities visited, those among them that had a delivery, and those that
-// halted.
+// message reached, in ascending order: ReceiveNone for a Sleeper that got
+// nothing, ReceiveBroadcast (reading sent through t's ports) on the
+// broadcast path, Receive with the entity's inbox otherwise. A survivor
+// that is a Sleeper is asked for its next wake and filed under it. It
+// returns the entities visited, those among them that had a delivery, and
+// those that halted.
 //
 //distec:hotpath
-func (b *Block) Receive(r int, t *Topology, sent Store, inbox [][]Message) (visited, received, halted int) {
+func (b *Block) Receive(r int, t *Topology, sent Store) (visited, received, halted int) {
 	if b.nDue == 0 && !b.anyGot {
 		return 0, 0, 0
 	}
@@ -151,16 +256,17 @@ func (b *Block) Receive(r int, t *Topology, sent Store, inbox [][]Message) (visi
 		for ; word != 0; word &= word - 1 {
 			bit := word & -word
 			li := k<<6 | bits.TrailingZeros64(word)
+			sl := b.sleepers[li]
 			var done bool
 			if got&bit != 0 {
 				received++
 			}
-			if got&bit == 0 && b.sparse[li] != nil {
-				done = b.sparse[li].ReceiveNone(r)
-			} else if b.Bcast != nil {
-				done = b.Bcast[li].ReceiveBroadcast(r, sent.Received(t.Ports[b.lo+li], r))
+			if got&bit == 0 && sl != nil {
+				done = sl.ReceiveNone(r)
+			} else if b.bcast != nil {
+				done = b.bcast[li].ReceiveBroadcast(r, sent.Received(t.Ports[b.lo+li], r))
 			} else {
-				done = b.Procs[li].Receive(r, inbox[li])
+				done = b.procs[li].Receive(r, b.inbox[li])
 			}
 			switch {
 			case done:
@@ -169,8 +275,8 @@ func (b *Block) Receive(r int, t *Topology, sent Store, inbox [][]Message) (visi
 				due &^= bit
 				b.nLive--
 				halted++
-			case b.sleepers[li] != nil:
-				if w := b.sleepers[li].NextWake(r); w > r+1 {
+			case sl != nil:
+				if w := sl.NextWake(r); w > r+1 {
 					b.sleep(int32(li), min(w, math.MaxInt32), r)
 					due &^= bit
 				} else {

@@ -12,7 +12,7 @@ package local
 // Send(r) returning v on every port — one message per port, so Stats grows
 // by the degree — and ok == false is a nil Send. A halted or sleeping entity
 // sends nothing, a broadcast wakes a sleeping neighbor, and ReceiveNone (for
-// a SparseReceiver) runs instead of ReceiveBroadcast when no neighbor sent.
+// a Sleeper) runs instead of ReceiveBroadcast when no neighbor sent.
 //
 // A Broadcaster's Send and Receive are SendPerPort and ReceivePerPort, so
 // its logic exists once and the engines may call either form.
@@ -68,20 +68,6 @@ func (s Store) Put(i, r, v int) { s.cells[i] = stamped{v: v, r: r} }
 // Received is the round-r view of the entity whose ports are ports.
 func (s Store) Received(ports []int32, r int) Broadcasts {
 	return Broadcasts{ports: ports, cells: s.cells, r: r}
-}
-
-// Broadcasters returns procs as Broadcasters when every one of them is a
-// Broadcaster — the run then takes the broadcast path — and nil otherwise.
-func Broadcasters(procs []Protocol) []Broadcaster {
-	out := make([]Broadcaster, len(procs))
-	for i, p := range procs {
-		b, ok := p.(Broadcaster)
-		if !ok {
-			return nil
-		}
-		out[i] = b
-	}
-	return out
 }
 
 // SendPerPort is a Broadcaster's Send: its round-r broadcast on each of its

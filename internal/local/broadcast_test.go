@@ -26,21 +26,15 @@ func (e wrapped) Run(t *local.Topology, f local.Factory, opts *local.Options) (l
 	return e.Engine.Run(t, func(v local.View) local.Protocol { return e.wrap(f(v)) }, opts)
 }
 
-// perPort hides a protocol's broadcast path and keeps its sparse and
-// sleeper fast paths, so the engines drive it through Send and Receive
-// with everything else unchanged.
+// perPort hides a protocol's broadcast path and keeps its sleeper fast
+// path, so the engines drive it through Send and Receive with everything
+// else unchanged.
 func perPort(p local.Protocol) local.Protocol {
 	if sl, ok := p.(local.Sleeper); ok {
 		return struct {
 			local.Protocol
 			local.Sleeper
 		}{p, sl}
-	}
-	if sr, ok := p.(local.SparseReceiver); ok {
-		return struct {
-			local.Protocol
-			local.SparseReceiver
-		}{p, sr}
 	}
 	return struct{ local.Protocol }{p}
 }
@@ -50,14 +44,14 @@ type variant struct {
 	name      string
 	run       local.Engine
 	broadcast bool // the broadcast path is visible
-	stepped   bool // the sparse and sleeper fast paths are hidden
+	stepped   bool // the sleeper fast path is hidden
 }
 
 // variants runs every engine (sequential; sharded with 1, 2 and n+1
 // shards) with the broadcast path, with it hidden, and with it kept but
-// the sparse and sleeper fast paths hidden — then every broadcaster is
-// stepped in every round until it halts, as the engines ran every entity
-// before wake buckets. The broadcast variants require every protocol
+// the sleeper fast path hidden — then every broadcaster is stepped in
+// every round until it halts, as the engines ran every entity before wake
+// buckets. The broadcast variants require every protocol
 // built to be a Broadcaster.
 func variants(t *testing.T, n int) []variant {
 	fast := func(p local.Protocol) local.Protocol {

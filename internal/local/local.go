@@ -20,14 +20,15 @@
 //   - Sequential: a deterministic loop on one goroutine (SeqExec.Round);
 //     the workhorse for experiments and the reference semantics.
 //   - internal/sharded: entities split into shards whose per-round work
-//     runs in parallel, with double-buffered batch mailboxes between
-//     shards (sharded.Exec.Round). An entity there sees only what its
+//     runs in parallel, with batch mailboxes between shards
+//     (sharded.Exec.Round). An entity there sees only what its
 //     neighbors' shards delivered, so bit-identical results cross-check
 //     that every protocol is an honest message-passing program.
 //
-// Both drive their entities through Blocks, which visit in a round only
-// the entities that are due and those a message reached; sleepers wait
-// under their wake round.
+// Both run their rounds through Blocks: a Block owns a share of the
+// entities with their inboxes, and its one send phase and one receive
+// phase visit only the entities that are due and those a message
+// reached; sleepers wait under their wake round.
 //
 // Entities know, at start: their own ID, their degree, the global entity
 // count and the global maximum degree (standard LOCAL assumptions; the paper
@@ -90,17 +91,12 @@ type Protocol interface {
 	Receive(r int, inbox []Message) (done bool)
 }
 
-// SparseReceiver is an optional fast path for protocols with long quiet
-// stretches (e.g. the one-class-per-round greedy phase): when an entity
-// received no message in a round, the engines call ReceiveNone instead of
-// Receive, sparing the O(degree) inbox scan. ReceiveNone must behave exactly
-// like Receive with an all-nil inbox.
-type SparseReceiver interface {
-	ReceiveNone(r int) (done bool)
-}
-
-// Sleeper is an optional event-driven fast path: after every round r an
-// entity survives, the engines ask NextWake(r), which promises that —
+// Sleeper is an optional event-driven fast path for protocols with long
+// quiet stretches (e.g. the one-class-per-round greedy phase). When a
+// Sleeper received no message in a round, the engines call ReceiveNone
+// instead of Receive, sparing the O(degree) inbox scan; ReceiveNone must
+// behave exactly like Receive with an all-nil inbox. After every round r
+// the entity survives, the engines ask NextWake(r), which promises that —
 // absent incoming messages — the entity will send nothing and its
 // ReceiveNone will not change its state or halt it before round
 // NextWake(r). A value above r+1 files the entity under that wake round,
@@ -111,7 +107,7 @@ type SparseReceiver interface {
 // nothing is sent costs the engines O(1): long deterministic schedules
 // (one class per round) become event-driven simulation.
 type Sleeper interface {
-	SparseReceiver
+	ReceiveNone(r int) (done bool)
 	NextWake(r int) int
 }
 
@@ -225,10 +221,4 @@ func (o *Options) Tracer() *trace.Trace {
 		return nil
 	}
 	return o.Trace
-}
-
-// slot identifies one inbox cell for sparse clearing.
-type slot struct {
-	entity int32
-	port   int32
 }

@@ -2,7 +2,6 @@ package local
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"github.com/distec/distec/internal/trace"
@@ -16,24 +15,20 @@ import (
 // holding the lane for the whole run, at full sequential speed — no
 // barriers, no cross-goroutine handoff. Not safe for concurrent use.
 //
-// A run whose every entity is a Broadcaster keeps one value per entity per
-// round in a Store and no inboxes; any other run gets two port-indexed
-// inboxes per entity, cleared sparsely (only slots written in a buffer's
-// previous use). Its entities live in one Block, so a round visits only
-// the entities that are due and those a message reached, and a round's
-// cost is O(visited entities + messages): a round in which nothing is due
-// only polls Interrupt and records its trace event. That is what keeps
-// long, sparse schedules — one class per round — cheap.
+// Its entities live in one Block, which spans them all and runs each
+// round's send and receive phases: a run whose every entity is a
+// Broadcaster keeps one value per entity per round in a Store, any other
+// run one port-indexed inbox per entity. A round visits only the entities
+// that are due and those a message reached, so its cost is O(visited
+// entities + messages): a round in which nothing is due only polls
+// Interrupt and records its trace event. That is what keeps long, sparse
+// schedules — one class per round — cheap.
 type SeqExec struct {
-	t       *Topology
-	opts    *Options
-	blk     *Block
-	sent    Store
-	inboxes [][]Message
-	next    [][]Message
-	touched [2][]slot
-	cur     int
-	limit   int
+	t     *Topology
+	opts  *Options
+	blk   *Block
+	sent  Store
+	limit int
 
 	r     int
 	stats Stats
@@ -58,15 +53,10 @@ func NewSeqExec(t *Topology, f Factory, opts *Options) *SeqExec {
 		limit: opts.RoundLimit(),
 		span:  opts.Tracer().StartSpan("sequential", n),
 	}
-	if x.blk.Bcast != nil {
+	if x.blk.Broadcasting() {
 		x.sent = NewStore(n)
-		return x
-	}
-	x.inboxes = make([][]Message, n)
-	x.next = make([][]Message, n)
-	for i := 0; i < n; i++ {
-		x.inboxes[i] = make([]Message, len(t.Ports[i]))
-		x.next[i] = make([]Message, len(t.Ports[i]))
+	} else {
+		x.blk.UsePorts(t)
 	}
 	return x
 }
@@ -109,25 +99,29 @@ func (x *SeqExec) Round() bool {
 		return x.finish()
 	}
 	var roundStart time.Time
-	prevMsgs := x.stats.Messages
 	if x.span != nil {
 		roundStart = time.Now()
 	}
 	x.stats.Rounds = r
+	var msgs int64
 	var received, halted int
 	if b.Start(r) {
-		if !x.send(r) {
+		var err error
+		msgs, _, err = b.Send(r, x.t, x.sent, nil)
+		x.stats.Messages += msgs
+		if err != nil {
+			x.err = err
 			return x.finish()
 		}
 		var visited int
-		visited, received, halted = b.Receive(r, x.t, x.sent, x.inboxes)
+		visited, received, halted = b.Receive(r, x.t, x.sent)
 		x.visits += int64(visited)
 	}
 	if x.span != nil {
 		x.span.Round(trace.RoundEvent{
 			Round:    r,
 			Duration: time.Since(roundStart),
-			Messages: x.stats.Messages - prevMsgs,
+			Messages: msgs,
 			Received: received,
 			Halted:   halted,
 			Active:   b.Live(),
@@ -137,63 +131,6 @@ func (x *SeqExec) Round() bool {
 		return x.finish()
 	}
 	return false
-}
-
-// send runs round r's send phase over the due entities and delivers what
-// they send, leaving it in x.inboxes on the per-port path. It reports
-// false, with x.err set, when an entity sent a malformed message vector.
-//
-//distec:hotpath
-func (x *SeqExec) send(r int) bool {
-	t, b := x.t, x.blk
-	if b.Bcast != nil {
-		for k, word := range b.Due() {
-			for ; word != 0; word &= word - 1 {
-				i := k<<6 | bits.TrailingZeros64(word)
-				if v, ok := b.Bcast[i].Broadcast(r); ok {
-					x.sent.Put(i, r, v)
-					for _, j := range t.Ports[i] {
-						b.Reach(int(j))
-					}
-					x.stats.Messages += int64(len(t.Ports[i]))
-				}
-			}
-		}
-		return true
-	}
-	cur := x.cur
-	// Clear the stale entries of the buffer about to be written.
-	for _, s := range x.touched[cur] {
-		x.next[s.entity][s.port] = nil
-	}
-	x.touched[cur] = x.touched[cur][:0]
-	for k, word := range b.Due() {
-		for ; word != 0; word &= word - 1 {
-			i := k<<6 | bits.TrailingZeros64(word)
-			out := b.Procs[i].Send(r)
-			if out == nil {
-				continue
-			}
-			if len(out) != len(t.Ports[i]) {
-				x.err = fmt.Errorf("local: entity %d sent %d messages, has %d ports", i, len(out), len(t.Ports[i]))
-				return false
-			}
-			for p, msg := range out {
-				if msg == nil {
-					continue
-				}
-				j := t.Ports[i][p]
-				back := t.Back[i][p]
-				x.next[j][back] = msg
-				x.touched[cur] = append(x.touched[cur], slot{entity: j, port: back})
-				b.Reach(int(j))
-				x.stats.Messages++
-			}
-		}
-	}
-	x.inboxes, x.next = x.next, x.inboxes
-	x.cur = 1 - cur
-	return true
 }
 
 // Rounds executes rounds until the execution finishes or the time budget

@@ -47,8 +47,8 @@ func (s *sleepy) finished(r int) bool {
 	return false
 }
 
-// ticked hides a protocol's SparseReceiver and Sleeper fast paths, so the
-// engine calls Receive on it in every round until it halts.
+// ticked hides a protocol's Sleeper fast path, so the engine calls Receive
+// on it in every round until it halts.
 type ticked struct{ Protocol }
 
 // TestSleeperContract runs the sleeper protocol with its fast path and

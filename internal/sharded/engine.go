@@ -1,31 +1,33 @@
 // Package sharded implements the parallel execution engine for LOCAL
 // protocols. Entities are partitioned into contiguous shards of near-equal
 // work; every round runs all shards' send phases in parallel, then all
-// shards' deliver-and-receive phases, with a barrier after each. Messages
-// cross shards in double-buffered per-shard batches handed over at the
-// send barrier, and all per-round buffers are reused, keeping the hot path
-// allocation-free. On the broadcast path (every entity a
-// local.Broadcaster) an owner shard writes its entities' values into a
-// parity-double-buffered local.Store in the send phase, and receivers in
-// any shard read them after the send barrier; only the IDs of the
-// entities a broadcast reaches in other shards cross in batches.
+// shards' receive phases, with a barrier after each.
+//
+// Each shard's entities live in a local.Block, the sequential engine's
+// own, which runs both phases: a shard visits only its due entities and
+// those a message reached, and a message between two entities of one
+// shard goes straight into the receiver's inbox. Outside the block stays
+// only the routing to other shards: the send phase batches what a block
+// addresses to other shards per destination shard, and each receive phase
+// first hands its block the batches addressed to it. On the broadcast path
+// (every entity a local.Broadcaster) an owner shard writes its entities'
+// values into the run's one local.Store in the send phase, and receivers
+// in any shard read them after the send barrier; only the IDs of the
+// entities a broadcast reaches in other shards cross in batches. Batches,
+// store and inboxes are single buffers reused every round, keeping the hot
+// path allocation-free.
 //
 // Exec is the engine's one round loop. Engine.Run drives an Exec to
 // completion, fanning each phase out on fresh goroutines; internal/serve
-// drives Execs through its shared worker lanes instead. Each shard's
-// entities live in a local.Block, the sequential engine's own, so a shard
-// visits only its due entities and those a message reached. A round costs
-// two barriers across the shards (not across entities) and one slice
-// append per message (on the broadcast path: one store write per sending
-// entity, one bit set per port, and a 4-byte ID append for each port whose
-// neighbor lives in another shard), and its shards run in parallel. Error-free runs are bit-identical to local.Sequential for every
-// protocol in the repository (on a protocol error, each shard stops sending
-// at its own first bad entity, so the partial message count returned with
-// the error may differ from the sequential engine's): the receive order
-// within a shard is ascending entity order, inboxes and broadcast views are
-// port-indexed (so delivery order is immaterial), and the receive phase,
-// with the sparse and sleeper fast paths, is the sequential engine's
-// Block.Receive.
+// drives Execs through its shared worker lanes instead. A round costs two
+// barriers across the shards (not across entities) and its shards run in
+// parallel. Error-free runs are bit-identical to local.Sequential for
+// every protocol in the repository (on a protocol error, each shard stops
+// sending at its own first bad entity, so the partial message count
+// returned with the error may differ from the sequential engine's): the
+// receive order within a shard is ascending entity order, inboxes and
+// broadcast views are port-indexed (so delivery order is immaterial), and
+// both phases are the sequential engine's Block.Send and Block.Receive.
 package sharded
 
 import (

@@ -48,26 +48,24 @@ type Exec struct {
 	opts    *local.Options
 	st      *runState
 	workers []*worker
-	// sent holds the broadcast path's values by parity, like the outbox
-	// batches: round r writes sent[r's parity] in the send phase and
-	// receivers read it after the send barrier (see outbox).
-	sent    [2]local.Store
-	shardOf []int32
-	limit   int
-	par     int
-	r       int
-	done    bool
-	stats   local.Stats
+	// sent holds the broadcast path's values: round r writes it in the
+	// send phase and receivers read it after the send barrier (see
+	// outbox).
+	sent  local.Store
+	limit int
+	r     int
+	done  bool
+	stats local.Stats
 	// span is the trace span of this execution (nil when tracing is off);
 	// prevSent tracks the workers' cumulative send counters between
 	// rounds. Only the driving goroutine touches either.
 	span     *trace.Span
 	prevSent int64
 	// sendTask and recvTask are the per-shard phase bodies, bound once at
-	// Prepare: they read the round number and parity from the struct, so
-	// Round fans them out without allocating a closure per round. The
-	// driver writes x.r/x.par strictly before each fan-out and the
-	// WaitGroup barrier in each orders those writes against the tasks.
+	// Prepare: they read the round number from the struct, so Round fans
+	// them out without allocating a closure per round. The driving
+	// goroutine writes x.r strictly before each fan-out and the WaitGroup
+	// barrier in each orders that write against the tasks.
 	// When traced, each also adds its wall time to its shard's busy time.
 	sendTask func(s int, w *worker)
 	recvTask func(s int, w *worker)
@@ -105,16 +103,16 @@ func prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 	}
 	bounds := Partition(weights, shards)
 	shards = len(bounds) - 1
-	x.shardOf = shardMap(bounds, n)
+	shardOf := shardMap(bounds, n)
 	x.st = &runState{}
 	x.workers = make([]*worker, shards)
 	x.each(exec, func(s int, _ *worker) {
-		x.workers[s] = newWorker(s, bounds[s], bounds[s+1], shards, t, f)
+		x.workers[s] = newWorker(s, bounds, shardOf, t, f)
 	})
 	if x.broadcast() {
-		x.sent = [2]local.Store{local.NewStore(n), local.NewStore(n)}
+		x.sent = local.NewStore(n)
 	} else {
-		x.each(exec, func(_ int, w *worker) { w.usePorts(t) })
+		x.each(exec, func(_ int, w *worker) { w.blk.UsePorts(t) })
 	}
 	traced := x.span != nil
 	x.sendTask = func(_ int, w *worker) {
@@ -122,7 +120,7 @@ func prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 		if traced {
 			start = time.Now()
 		}
-		w.sendPhase(x.r, x.par, x.t, x.shardOf, x.st, x.sent[x.par])
+		w.sendPhase(x.r, x.t, x.st, x.sent)
 		if traced {
 			w.busy += time.Since(start)
 		}
@@ -132,8 +130,7 @@ func prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 		if traced {
 			start = time.Now()
 		}
-		w.deliverPhase(x.par, x.workers)
-		w.receivePhase(x.r, x.par, x.t, x.sent[x.par])
+		w.receivePhase(x.r, x.t, x.sent, x.workers)
 		if traced {
 			w.busy += time.Since(start)
 		}
@@ -145,15 +142,12 @@ func prepare(t *local.Topology, f local.Factory, opts *local.Options, shards int
 // local.Broadcaster, which puts the whole run on the broadcast path.
 func (x *Exec) broadcast() bool {
 	for _, w := range x.workers {
-		if w.blk.Bcast == nil {
+		if !w.blk.Broadcasting() {
 			return false
 		}
 	}
 	return true
 }
-
-// Shards returns the effective shard count.
-func (x *Exec) Shards() int { return len(x.workers) }
 
 // Done reports whether the execution has finished (successfully or not).
 func (x *Exec) Done() bool { return x.done }
@@ -267,7 +261,6 @@ func (x *Exec) Round(exec Executor) bool {
 	if total == 0 || st.getErr() != nil {
 		return x.finish()
 	}
-	x.par = 1 - x.par
 	return false
 }
 

@@ -181,6 +181,29 @@ func TestExecEmptyTopology(t *testing.T) {
 	}
 }
 
+// TestExecStatsBetweenRounds reads Stats before and between rounds: the
+// messages of the rounds run so far are counted, and the final Stats add
+// up the rest.
+func TestExecStatsBetweenRounds(t *testing.T) {
+	tp := local.FromGraph(graph.Cycle(6))
+	out := make([]int, tp.N())
+	x := Prepare(tp, func(v local.View) local.Protocol {
+		return &floodMax{v: v, rounds: 3, best: v.Index, out: out}
+	}, nil, 2, nil)
+	if stats, err := x.Stats(); err != nil || stats != (local.Stats{}) {
+		t.Fatalf("before round 1: stats %+v, %v; want zero, nil", stats, err)
+	}
+	for r := 1; r <= 2; r++ {
+		x.Round(nil)
+		if stats, err := x.Stats(); err != nil || stats != (local.Stats{Rounds: r, Messages: int64(12 * r)}) {
+			t.Fatalf("after round %d: stats %+v, %v; want %d rounds and %d messages", r, stats, err, r, 12*r)
+		}
+	}
+	if stats, err := drive(x, nil); err != nil || stats != (local.Stats{Rounds: 3, Messages: 36}) {
+		t.Fatalf("final stats %+v, %v; want 3 rounds and 36 messages", stats, err)
+	}
+}
+
 func TestExecInterrupt(t *testing.T) {
 	boom := errors.New("deadline")
 	rounds := 0

@@ -1,8 +1,6 @@
 package sharded
 
 import (
-	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -34,26 +32,17 @@ func (st *runState) getErr() error {
 	return st.err
 }
 
-// slot marks one written inbox cell (shard-local entity index + port) for
-// sparse clearing, mirroring the sequential engine's touched lists.
-type slot struct {
-	ent  int32
-	port int32
-}
-
-// worker owns one contiguous block of entities: their protocols and visit
-// schedule (a local.Block, the sequential engine's own), their
-// double-buffered inboxes (per-port runs only), and the outbox batches they
-// produce. Within a phase only the shard's own task mutates its fields;
-// cross-shard data flows only through outbox batches and the owned cells of
-// the run's broadcast stores, read strictly after the send barrier.
+// worker owns one contiguous block of entities — a local.Block, the
+// sequential engine's own, which holds their protocols, visit schedule and
+// inboxes and runs both phases of a round — and the outbox batches their
+// messages to other shards fill. Within a phase only the shard's own task
+// mutates its fields; cross-shard data flows only through outbox batches
+// and the owned cells of the run's broadcast store, read strictly after
+// the send barrier.
 type worker struct {
-	id     int
-	lo, hi int // owned entity range [lo, hi)
-
+	id      int
 	blk     *local.Block
-	inbox   [2][][]local.Message
-	touched [2][]slot
+	shardOf []int32
 	out     outbox[delivery]
 	arrive  outbox[int32] // broadcast arrivals in other shards, by entity
 
@@ -69,118 +58,65 @@ type worker struct {
 	busy      time.Duration
 }
 
-func newWorker(id, lo, hi, shards int, t *local.Topology, f local.Factory) *worker {
+// newWorker builds shard id of the partition bounds.
+func newWorker(id int, bounds []int, shardOf []int32, t *local.Topology, f local.Factory) *worker {
+	shards := len(bounds) - 1
 	return &worker{
-		id:     id,
-		lo:     lo,
-		hi:     hi,
-		blk:    local.NewBlock(t, f, lo, hi),
-		out:    newOutbox[delivery](shards),
-		arrive: newOutbox[int32](shards),
+		id:      id,
+		blk:     local.NewBlock(t, f, bounds[id], bounds[id+1]),
+		shardOf: shardOf,
+		out:     newOutbox[delivery](shards),
+		arrive:  newOutbox[int32](shards),
 	}
 }
 
-// usePorts puts the worker on the per-port path: it drops its broadcasters
-// and builds its entities' double-buffered inboxes.
-func (w *worker) usePorts(t *local.Topology) {
-	w.blk.Bcast = nil
-	n := w.hi - w.lo
-	w.inbox[0] = make([][]local.Message, n)
-	w.inbox[1] = make([][]local.Message, n)
-	for li := 0; li < n; li++ {
-		deg := len(t.Ports[w.lo+li])
-		w.inbox[0][li] = make([]local.Message, deg)
-		w.inbox[1][li] = make([]local.Message, deg)
-	}
-}
-
-// sendPhase starts round r on the worker's block and runs Send for every
-// due owned entity, batching the output into the parity-par outbox buffers
-// by destination shard. On the broadcast path it writes the entity's value
-// into sent, marks owned neighbors reached directly and batches the other
-// neighbors' IDs.
+// sendPhase starts round r on the worker's block and runs its send phase;
+// what it addresses to other shards lands in the outbox batches (the
+// worker is the block's local.Away). A malformed message vector is
+// recorded as the run's error.
 //
 //distec:hotpath
-func (w *worker) sendPhase(r, par int, t *local.Topology, shardOf []int32, st *runState, sent local.Store) {
-	w.out.reset(par)
-	w.arrive.reset(par)
-	b := w.blk
-	if !b.Start(r) {
+func (w *worker) sendPhase(r int, t *local.Topology, st *runState, sent local.Store) {
+	w.out.reset()
+	w.arrive.reset()
+	if !w.blk.Start(r) {
 		return
 	}
-	for k, word := range b.Due() {
-		for ; word != 0; word &= word - 1 {
-			li := k<<6 | bits.TrailingZeros64(word)
-			i := w.lo + li
-			if b.Bcast != nil {
-				if v, ok := b.Bcast[li].Broadcast(r); ok {
-					sent.Put(i, r, v)
-					for _, j := range t.Ports[i] {
-						if d := shardOf[j]; int(d) == w.id {
-							b.Reach(int(j) - w.lo)
-						} else {
-							w.arrive.put(par, d, j)
-						}
-					}
-					w.sent += int64(len(t.Ports[i]))
-				}
-				continue
-			}
-			out := b.Procs[li].Send(r)
-			if out == nil {
-				continue
-			}
-			if len(out) != len(t.Ports[i]) {
-				st.recordErr(i, fmt.Errorf("local: entity %d sent %d messages, has %d ports", i, len(out), len(t.Ports[i])))
-				return
-			}
-			for p, msg := range out {
-				if msg == nil {
-					continue
-				}
-				j := t.Ports[i][p]
-				w.out.put(par, shardOf[j], delivery{to: j, port: t.Back[i][p], msg: msg})
-				w.sent++
-			}
-		}
+	msgs, bad, err := w.blk.Send(r, t, sent, w)
+	w.sent += msgs
+	if err != nil {
+		st.recordErr(bad, err)
 	}
 }
 
-// deliverPhase drains the parity-par batches addressed to this shard from
-// every source worker into the owned entities' parity-par inboxes and
-// marks their recipients reached. Stale slots from the buffer's previous
-// use are cleared sparsely first, exactly like the sequential engine.
+// Arrive batches a broadcast's arrival at entity j of another shard.
 //
 //distec:hotpath
-func (w *worker) deliverPhase(par int, workers []*worker) {
+func (w *worker) Arrive(j int32) { w.arrive.put(w.shardOf[j], j) }
+
+// Deliver batches msg for port port of entity j of another shard.
+//
+//distec:hotpath
+func (w *worker) Deliver(j, port int32, msg local.Message) {
+	w.out.put(w.shardOf[j], delivery{to: j, port: port, msg: msg})
+}
+
+// receivePhase hands the worker's block what the other shards' send
+// phases addressed to it, then runs the block's receive phase — the same
+// code the sequential engine runs, so results stay bit-identical.
+//
+//distec:hotpath
+func (w *worker) receivePhase(r int, t *local.Topology, sent local.Store, workers []*worker) {
 	b := w.blk
 	for _, src := range workers {
-		for _, j := range src.arrive.batch(par, w.id) {
-			b.Reach(int(j) - w.lo)
+		for _, j := range src.arrive.buf[w.id] {
+			b.Arrive(j)
+		}
+		for _, d := range src.out.buf[w.id] {
+			b.Deliver(d.to, d.port, d.msg)
 		}
 	}
-	tb := w.touched[par]
-	for _, s := range tb {
-		w.inbox[par][s.ent][s.port] = nil
-	}
-	tb = tb[:0]
-	for _, src := range workers {
-		for _, d := range src.out.batch(par, w.id) {
-			li := d.to - int32(w.lo)
-			w.inbox[par][li][d.port] = d.msg
-			b.Reach(int(li))
-			tb = append(tb, slot{ent: li, port: d.port})
-		}
-	}
-	w.touched[par] = tb
-}
-
-// receivePhase runs the block's receive phase — the same code the
-// sequential engine runs, so results stay bit-identical.
-//
-//distec:hotpath
-func (w *worker) receivePhase(r, par int, t *local.Topology, sent local.Store) {
-	visited, received, halted := w.blk.Receive(r, t, sent, w.inbox[par])
+	visited, received, halted := b.Receive(r, t, sent)
 	w.visits += int64(visited)
 	w.rReceived, w.rHalted = received, halted
 }

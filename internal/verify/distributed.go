@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 
-	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
 )
 
@@ -64,10 +63,4 @@ func (cp *checkProto) ReceiveBroadcast(r int, in local.Broadcasts) bool {
 	}
 	cp.verdicts[cp.v.Index] = ok
 	return true
-}
-
-// DistributedCheckEdges runs DistributedCheck on the edge-conflict topology
-// of a graph.
-func DistributedCheckEdges(g *graph.Graph, colors []int, run local.Engine) (bool, local.Stats, error) {
-	return DistributedCheck(local.EdgeConflict(g), colors, run)
 }

@@ -20,7 +20,7 @@ func TestDistributedCheckAcceptsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, stats, err := DistributedCheckEdges(g, colors, local.Sequential)
+	ok, stats, err := DistributedCheck(local.EdgeConflict(g), colors, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestDistributedCheckAcceptsValid(t *testing.T) {
 func TestDistributedCheckRejectsConflict(t *testing.T) {
 	g := graph.Path(4)
 	// Middle two edges conflict.
-	ok, _, err := DistributedCheckEdges(g, []int{0, 1, 1}, local.Sequential)
+	ok, _, err := DistributedCheck(local.EdgeConflict(g), []int{0, 1, 1}, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDistributedCheckRejectsConflict(t *testing.T) {
 
 func TestDistributedCheckRejectsUncolored(t *testing.T) {
 	g := graph.Path(3)
-	ok, _, err := DistributedCheckEdges(g, []int{0, -1}, local.Sequential)
+	ok, _, err := DistributedCheck(local.EdgeConflict(g), []int{0, -1}, local.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDistributedCheckBothEngines(t *testing.T) {
 		colors[e] = e
 	}
 	for _, run := range []local.Engine{local.Sequential, sharded.New(sharded.Config{Shards: 3})} {
-		ok, _, err := DistributedCheckEdges(g, colors, run)
+		ok, _, err := DistributedCheck(local.EdgeConflict(g), colors, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestDistributedCheckBothEngines(t *testing.T) {
 
 func TestDistributedCheckLengthMismatch(t *testing.T) {
 	g := graph.Path(3)
-	if _, _, err := DistributedCheckEdges(g, []int{0}, nil); err == nil {
+	if _, _, err := DistributedCheck(local.EdgeConflict(g), []int{0}, nil); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }

@@ -88,17 +88,6 @@ func CountColors(colors []int) int {
 	return len(seen)
 }
 
-// MaxColor returns the largest color used (−1 if none).
-func MaxColor(colors []int) int {
-	maxC := -1
-	for _, c := range colors {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	return maxC
-}
-
 // PaletteRespected checks that all used colors lie in [0, c).
 func PaletteRespected(colors []int, c int) error {
 	for e, col := range colors {

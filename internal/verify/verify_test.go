@@ -55,9 +55,6 @@ func TestCounting(t *testing.T) {
 	if got := CountColors(colors); got != 3 {
 		t.Fatalf("CountColors = %d, want 3", got)
 	}
-	if got := MaxColor(colors); got != 3 {
-		t.Fatalf("MaxColor = %d, want 3", got)
-	}
 	if err := PaletteRespected(colors, 4); err != nil {
 		t.Fatalf("palette 4 should pass: %v", err)
 	}

@@ -56,28 +56,3 @@ func Verify(g *graph.Graph, colors []int) error {
 	}
 	return nil
 }
-
-// EdgeColoringViaLineGraph demonstrates the paper's framing: a (2Δ−1)-edge
-// coloring obtained by running the VERTEX algorithm on the line graph
-// (edge-conflict topology). It returns per-edge colors over the palette
-// {0..2Δ−2}; the rounds are edge-entity rounds.
-func EdgeColoringViaLineGraph(g *graph.Graph, run local.Engine) ([]int, local.Stats, error) {
-	t := local.EdgeConflict(g)
-	c := 2*g.MaxDegree() - 1
-	if c < 1 {
-		c = 1
-	}
-	palette := make([]int, c)
-	for i := range palette {
-		palette[i] = i
-	}
-	lists := make([][]int, g.M())
-	for e := range lists {
-		lists[e] = palette
-	}
-	initial := make([]int, g.M())
-	for e := range initial {
-		initial[e] = e
-	}
-	return listcolor.SolveOnTopology(t, initial, g.M(), lists, run)
-}

@@ -7,7 +7,6 @@ import (
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
 	"github.com/distec/distec/internal/sharded"
-	"github.com/distec/distec/internal/verify"
 )
 
 func TestSolveFamilies(t *testing.T) {
@@ -49,20 +48,6 @@ func TestSolveListRejectsSmallList(t *testing.T) {
 	lists := [][]int{{0}, {0, 1}, {0, 1}, {0, 1}} // center list too small
 	if _, _, err := SolveList(g, lists, nil); err == nil {
 		t.Fatal("accepted |L| ≤ deg")
-	}
-}
-
-func TestEdgeColoringViaLineGraph(t *testing.T) {
-	g := graph.RandomRegular(40, 5, 8)
-	colors, _, err := EdgeColoringViaLineGraph(g, local.Sequential)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.EdgeColoring(g, nil, colors); err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.PaletteRespected(colors, 2*g.MaxDegree()-1); err != nil {
-		t.Fatal(err)
 	}
 }
 
