@@ -13,7 +13,6 @@ import (
 	"github.com/distec/distec/internal/local"
 	"github.com/distec/distec/internal/pseudoforest"
 	"github.com/distec/distec/internal/randomized"
-	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/trace"
 )
 
@@ -225,7 +224,7 @@ func BenchmarkExtendColoringPrune(b *testing.B) {
 }
 
 func BenchmarkEngineSequential(b *testing.B) { benchEngine(b, local.Sequential) }
-func BenchmarkEngineSharded(b *testing.B)    { benchEngine(b, sharded.Default) }
+func BenchmarkEngineSharded(b *testing.B)    { benchEngine(b, local.Sharded(0)) }
 
 func benchEngine(b *testing.B, run local.Engine) {
 	b.Helper()
@@ -336,7 +335,7 @@ func BenchmarkEngines(b *testing.B) {
 		tp := w.build()
 		for _, path := range paths {
 			factory := path.factory
-			for _, eng := range []local.Engine{local.Sequential, sharded.Default} {
+			for _, eng := range []local.Engine{local.Sequential, local.Sharded(0)} {
 				b.Run(w.name+"/"+path.prefix+eng.Name(), func(b *testing.B) {
 					var stats local.Stats
 					for i := 0; i < b.N; i++ {

@@ -35,7 +35,6 @@ import (
 	"github.com/distec/distec/internal/local"
 	"github.com/distec/distec/internal/pseudoforest"
 	"github.com/distec/distec/internal/randomized"
-	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/trace"
 	"github.com/distec/distec/internal/verify"
 	"github.com/distec/distec/internal/vertexcolor"
@@ -162,7 +161,7 @@ func (o Options) engine() (local.Engine, error) {
 	case "", Sequential:
 		return local.Sequential, nil
 	case Sharded:
-		return sharded.New(sharded.Config{Shards: o.Shards}), nil
+		return local.Sharded(o.Shards), nil
 	default:
 		return nil, fmt.Errorf("distec: unknown engine %q", o.Engine)
 	}

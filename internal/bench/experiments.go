@@ -13,7 +13,6 @@ import (
 	"github.com/distec/distec/internal/local"
 	"github.com/distec/distec/internal/pseudoforest"
 	"github.com/distec/distec/internal/randomized"
-	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/verify"
 )
 
@@ -639,7 +638,7 @@ func E14Engines(scale Scale) (*Table, error) {
 		}
 		seqWall := time.Since(t0)
 		t0 = time.Now()
-		out, stats, err := a.run(sharded.Default)
+		out, stats, err := a.run(local.Sharded(0))
 		if err != nil {
 			return nil, fmt.Errorf("E14 %s sharded: %w", a.name, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/listcolor"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 )
 
 // verifySolution checks that res is a proper, list-respecting coloring of
@@ -309,7 +308,7 @@ func TestEnginesAgreeOnSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveGraph(in, Practical(), sharded.New(sharded.Config{Shards: 3}))
+	b, err := SolveGraph(in, Practical(), local.Sharded(3))
 	if err != nil {
 		t.Fatal(err)
 	}

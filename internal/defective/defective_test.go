@@ -6,7 +6,6 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 )
 
 // checkDefectBound asserts the paper's guarantee on every active edge: the
@@ -168,7 +167,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ColorGraph(g, nil, 1, sharded.New(sharded.Config{Shards: 3}))
+	b, err := ColorGraph(g, nil, 1, local.Sharded(3))
 	if err != nil {
 		t.Fatal(err)
 	}

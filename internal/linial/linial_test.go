@@ -6,7 +6,6 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 )
 
 // properOn checks that colors is a proper coloring of topology t.
@@ -137,7 +136,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	goColors, goStats, err := Reduce(tp, init, tp.N(), sharded.New(sharded.Config{Shards: 3}))
+	goColors, goStats, err := Reduce(tp, init, tp.N(), local.Sharded(3))
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}
@@ -256,12 +255,13 @@ func TestPlanGrowthIsLogStar(t *testing.T) {
 }
 
 // TestBroadcastRoundsAllocationFree pins the steady state of a broadcast
-// Linial run at zero allocations per round, on SeqExec.Round and on
-// sharded.Exec.Round with a nil executor (two shards, so broadcasts also
-// cross shards): the reducer's step keeps its digits on the stack and the
-// engines reuse every per-round buffer. The run repeats one plan step —
-// its output colors < Q² are valid input again — so both the Linial phase
-// and the class-elimination phase last long enough to measure.
+// Linial run at zero allocations per round, on local.Exec.Round with one
+// block (the sequential engine) and with two shards and a nil executor (so
+// broadcasts also cross shards): the reducer's step keeps its digits on
+// the stack and the engines reuse every per-round buffer. The run repeats
+// one plan step — its output colors < Q² are valid input again — so both
+// the Linial phase and the class-elimination phase last long enough to
+// measure.
 func TestBroadcastRoundsAllocationFree(t *testing.T) {
 	tp := local.EdgeConflict(graph.RandomRegular(64, 6, 1))
 	init := make([]int, tp.N())
@@ -280,49 +280,39 @@ func TestBroadcastRoundsAllocationFree(t *testing.T) {
 		}
 		return func(v local.View) local.Protocol { return rn.entity(v, init[v.Index]) }
 	}
-	engines := []struct {
-		name  string
-		round func(f local.Factory) func() bool
-	}{
-		{"sequential", func(f local.Factory) func() bool { return local.NewSeqExec(tp, f, nil).Round }},
-		{"sharded", func(f local.Factory) func() bool {
-			x := sharded.Prepare(tp, f, nil, 2, nil)
-			return func() bool { return x.Round(nil) }
-		}},
-	}
-	for _, eng := range engines {
+	for _, shards := range []int{1, 2} {
 		out := make([]int, tp.N())
 		errs := &local.ErrorSink{}
-		round := eng.round(factory(out, errs))
+		x := local.Prepare(tp, factory(out, errs), nil, shards, nil)
 		r := 0
 		step := func() {
 			r++
-			if round() {
-				t.Fatalf("%s: finished at round %d", eng.name, r)
+			if x.Round(nil) {
+				t.Fatalf("shards=%d: finished at round %d", shards, r)
 			}
 		}
 		step()
 		step()
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-			t.Errorf("%s: %v allocations per Linial round, want 0", eng.name, allocs)
+			t.Errorf("shards=%d: %v allocations per Linial round, want 0", shards, allocs)
 		}
 		for r < len(plan)+2 {
 			step()
 		}
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-			t.Errorf("%s: %v allocations per class-elimination round, want 0", eng.name, allocs)
+			t.Errorf("shards=%d: %v allocations per class-elimination round, want 0", shards, allocs)
 		}
-		for !round() {
+		for !x.Round(nil) {
 		}
 		if err := errs.Err(); err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if !properOn(tp, out) {
-			t.Fatalf("%s: improper coloring", eng.name)
+			t.Fatalf("shards=%d: improper coloring", shards)
 		}
 		for i, c := range out {
 			if c >= tp.MaxDeg+1 {
-				t.Fatalf("%s: entity %d color %d ≥ target %d", eng.name, i, c, tp.MaxDeg+1)
+				t.Fatalf("shards=%d: entity %d color %d ≥ target %d", shards, i, c, tp.MaxDeg+1)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 )
 
 // properList checks that colors is a proper, list-respecting coloring of the
@@ -129,7 +128,7 @@ func TestSolveBaseEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	b, sb, err := SolveBase(in, nil, 0, sharded.New(sharded.Config{Shards: 3}))
+	b, sb, err := SolveBase(in, nil, 0, local.Sharded(3))
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}

@@ -6,13 +6,13 @@ import (
 	"math/bits"
 )
 
-// Block is the share of a run's entities that one round loop drives — all
-// of them for the sequential engine, one shard's contiguous range for the
-// sharded engine. It owns their protocols and per-port inboxes, decides
-// which of them a round visits, and runs a round over them: Start, Send,
-// then Receive. A message for an entity outside the block leaves through an
-// Away; the sharded engine routes it to the receiver's shard, whose block
-// takes it in (Arrive, Deliver) between the two phases.
+// block is the share of a run's entities that one worker drives — all of
+// them in a one-block execution (the sequential engine), one shard's
+// contiguous range otherwise. It owns their protocols and per-port
+// inboxes, decides which of them a round visits, and runs a round over
+// them: start, send, then receive. A message for an entity outside the
+// block goes into its worker's outbox batch for the receiver's shard,
+// whose block takes it in (arrive, deliver) between the two phases.
 //
 // A round visits the entities that are due — the awake ones, and the
 // sleepers whose wake round it is — plus those a message reached, in
@@ -21,9 +21,9 @@ import (
 // overflow list), so filing, moving and waking an entity are O(1), and a
 // round with nothing due and nothing sent costs O(1). Each entity has one
 // inbox, cleared sparsely when the next round starts: a round's receive
-// phase ends before the next send phase begins, in both engines.
+// phase ends before the next send phase begins.
 // Steady-state rounds allocate nothing.
-type Block struct {
+type block struct {
 	lo int
 	// procs are the entities' protocols, by index within the block; bcast
 	// holds the same values as Broadcasters on the broadcast path and is
@@ -61,26 +61,18 @@ type slot struct {
 	port   int32
 }
 
-// Away takes what a block's send phase addresses to entities outside the
-// block: Arrive, that a broadcast reached entity j; Deliver, msg for port
-// port of entity j. A Block is the Away of its own entities.
-type Away interface {
-	Arrive(j int32)
-	Deliver(j, port int32, msg Message)
-}
-
 // maxRing caps the ring of wake lists; sleepers filed further ahead wait
 // in the overflow list, which is re-examined once per lap of the ring.
 const maxRing = 1 << 16
 
-// NewBlock builds the protocols of entities lo..hi−1 of t with f. Every
+// newBlock builds the protocols of entities lo..hi−1 of t with f. Every
 // entity starts awake, so round 1 visits all of them. The block is on the
-// broadcast path when every entity is a Broadcaster; the engine calls
-// UsePorts when the run as a whole is not.
-func NewBlock(t *Topology, f Factory, lo, hi int) *Block {
+// broadcast path when every entity is a Broadcaster; the Exec calls
+// usePorts when the run as a whole is not.
+func newBlock(t *Topology, f Factory, lo, hi int) block {
 	n := hi - lo
 	words := (n + 63) / 64
-	b := &Block{
+	b := block{
 		lo:       lo,
 		procs:    make([]Protocol, n),
 		bcast:    make([]Broadcaster, n),
@@ -113,12 +105,12 @@ func NewBlock(t *Topology, f Factory, lo, hi int) *Block {
 	return b
 }
 
-// Broadcasting reports whether the block is on the broadcast path.
-func (b *Block) Broadcasting() bool { return b.bcast != nil }
+// broadcasting reports whether the block is on the broadcast path.
+func (b *block) broadcasting() bool { return b.bcast != nil }
 
-// UsePorts puts the block on the per-port path: it drops the broadcasters
+// usePorts puts the block on the per-port path: it drops the broadcasters
 // and builds each entity's inbox.
-func (b *Block) UsePorts(t *Topology) {
+func (b *block) usePorts(t *Topology) {
 	b.bcast = nil
 	b.inbox = make([][]Message, len(b.procs))
 	for li := range b.inbox {
@@ -126,13 +118,10 @@ func (b *Block) UsePorts(t *Topology) {
 	}
 }
 
-// Live returns the number of unhalted entities.
-func (b *Block) Live() int { return b.nLive }
-
-// Start begins round r: last round's inbox cells are cleared and the
+// start begins round r: last round's inbox cells are cleared and the
 // sleepers filed for r become due. It reports whether any entity is due,
-// that is whether Send has anything to visit.
-func (b *Block) Start(r int) bool {
+// that is whether send has anything to visit.
+func (b *block) start(r int) bool {
 	for _, s := range b.touched {
 		b.inbox[s.entity][s.port] = nil
 	}
@@ -157,15 +146,15 @@ func (b *Block) Start(r int) bool {
 	return b.nDue > 0
 }
 
-// Send runs round r's send phase, after Start, over the due entities in
+// send runs round r's send phase, after start, over the due entities in
 // ascending order. A broadcast goes into sent, and a per-port message into
-// its receiver's inbox; a receiver outside the block is handed to away,
-// which may be nil when the block spans every entity. It returns the
-// messages sent and, when an entity sent a vector whose length is not its
-// degree, that entity and the error, at which the phase stops.
+// its receiver's inbox; for a receiver outside the block, the arrival or
+// the message goes into w's outbox batch for the receiver's shard. It
+// returns the messages sent and, when an entity sent a vector whose length
+// is not its degree, that entity and the error, at which the phase stops.
 //
 //distec:hotpath
-func (b *Block) Send(r int, t *Topology, sent Store, away Away) (msgs int64, bad int, err error) {
+func (b *block) send(r int, t *Topology, sent store, w *worker) (msgs int64, bad int, err error) {
 	lo, n, got := b.lo, uint(len(b.procs)), b.got
 	for k, word := range b.due {
 		for ; word != 0; word &= word - 1 {
@@ -176,15 +165,15 @@ func (b *Block) Send(r int, t *Topology, sent Store, away Away) (msgs int64, bad
 				if !ok {
 					continue
 				}
-				sent.Put(i, r, v)
+				sent.put(i, r, v)
 				ports := t.Ports[i]
 				for _, j := range ports {
-					// The sender is due, so Receive visits this block
+					// The sender is due, so receive visits this block
 					// anyway: an arrival here needs its bit, not anyGot.
 					if lj := int(j) - lo; uint(lj) < n {
 						got[lj>>6] |= 1 << (lj & 63)
 					} else {
-						away.Arrive(j)
+						w.arrive.put(w.shardOf[j], j)
 					}
 				}
 				msgs += int64(len(ports))
@@ -203,9 +192,9 @@ func (b *Block) Send(r int, t *Topology, sent Store, away Away) (msgs int64, bad
 					continue
 				}
 				if j, back := ports[p], t.Back[i][p]; uint(int(j)-lo) < n {
-					b.Deliver(j, back, msg)
+					b.deliver(j, back, msg)
 				} else {
-					away.Deliver(j, back, msg)
+					w.out.put(w.shardOf[j], delivery{to: j, port: back, msg: msg})
 				}
 				msgs++
 			}
@@ -214,22 +203,22 @@ func (b *Block) Send(r int, t *Topology, sent Store, away Away) (msgs int64, bad
 	return msgs, 0, nil
 }
 
-// Arrive records that a message reached the block's entity j this round.
-func (b *Block) Arrive(j int32) {
+// arrive records that a message reached the block's entity j this round.
+func (b *block) arrive(j int32) {
 	li := int(j) - b.lo
 	b.got[li>>6] |= 1 << (li & 63)
 	b.anyGot = true
 }
 
-// Deliver puts msg into port port of the block's entity j for this round.
-func (b *Block) Deliver(j, port int32, msg Message) {
+// deliver puts msg into port port of the block's entity j for this round.
+func (b *block) deliver(j, port int32, msg Message) {
 	li := int(j) - b.lo
 	b.inbox[li][port] = msg
 	b.touched = append(b.touched, slot{entity: int32(li), port: port})
-	b.Arrive(j)
+	b.arrive(j)
 }
 
-// Receive runs round r's receive phase over the due entities and those a
+// receive runs round r's receive phase over the due entities and those a
 // message reached, in ascending order: ReceiveNone for a Sleeper that got
 // nothing, ReceiveBroadcast (reading sent through t's ports) on the
 // broadcast path, Receive with the entity's inbox otherwise. A survivor
@@ -238,7 +227,7 @@ func (b *Block) Deliver(j, port int32, msg Message) {
 // those that halted.
 //
 //distec:hotpath
-func (b *Block) Receive(r int, t *Topology, sent Store) (visited, received, halted int) {
+func (b *block) receive(r int, t *Topology, sent store) (visited, received, halted int) {
 	if b.nDue == 0 && !b.anyGot {
 		return 0, 0, 0
 	}
@@ -264,7 +253,7 @@ func (b *Block) Receive(r int, t *Topology, sent Store) (visited, received, halt
 			if got&bit == 0 && sl != nil {
 				done = sl.ReceiveNone(r)
 			} else if b.bcast != nil {
-				done = b.bcast[li].ReceiveBroadcast(r, sent.Received(t.Ports[b.lo+li], r))
+				done = b.bcast[li].ReceiveBroadcast(r, sent.received(t.Ports[b.lo+li], r))
 			} else {
 				done = b.procs[li].Receive(r, b.inbox[li])
 			}
@@ -292,7 +281,7 @@ func (b *Block) Receive(r int, t *Topology, sent Store) (visited, received, halt
 }
 
 // sleep files entity li until round w > r+1, unless it already is.
-func (b *Block) sleep(li int32, w, r int) {
+func (b *block) sleep(li int32, w, r int) {
 	if int(b.wake[li]) == w {
 		return
 	}
@@ -309,7 +298,7 @@ func (b *Block) sleep(li int32, w, r int) {
 }
 
 // unfile takes entity li off its wake list, if it is on one.
-func (b *Block) unfile(li int32) {
+func (b *block) unfile(li int32) {
 	if b.wake[li] == 0 {
 		return
 	}
@@ -330,7 +319,7 @@ func (b *Block) unfile(li int32) {
 
 // link pushes the filed entity li onto the list of its wake round, seen
 // from round r: its ring slot when within the horizon, far otherwise.
-func (b *Block) link(li int32, r int) {
+func (b *block) link(li int32, r int) {
 	w := int(b.wake[li])
 	head := &b.far
 	if w-r < len(b.ring) {
@@ -345,7 +334,7 @@ func (b *Block) link(li int32, r int) {
 
 // grow widens the ring to cover d rounds ahead of round r (within maxRing)
 // and refiles every sleeper, pulling overflow entries into the ring.
-func (b *Block) grow(d, r int) {
+func (b *block) grow(d, r int) {
 	size := 64
 	for size <= d && size < maxRing {
 		size <<= 1
@@ -363,7 +352,7 @@ func (b *Block) grow(d, r int) {
 
 // refile links every entity of the list headed by li again, seen from
 // round r.
-func (b *Block) refile(li int32, r int) {
+func (b *block) refile(li int32, r int) {
 	for li >= 0 {
 		nx := b.next[li]
 		b.link(li, r)

@@ -54,19 +54,19 @@ func (b Broadcasts) At(p int) (v int, sent bool) {
 	return c.v, true
 }
 
-// Store is an engine's per-run broadcast store: one value per entity with
-// the round it was broadcast in. The zero Store is empty; engines build one
+// store is an execution's broadcast store: one value per entity with the
+// round it was broadcast in. The zero store is empty; an Exec builds one
 // only for runs whose every entity is a Broadcaster.
-type Store struct{ cells []stamped }
+type store struct{ cells []stamped }
 
-// NewStore returns the broadcast store of an n-entity run.
-func NewStore(n int) Store { return Store{cells: make([]stamped, n)} }
+// newStore returns the broadcast store of an n-entity run.
+func newStore(n int) store { return store{cells: make([]stamped, n)} }
 
-// Put records entity i's round-r broadcast.
-func (s Store) Put(i, r, v int) { s.cells[i] = stamped{v: v, r: r} }
+// put records entity i's round-r broadcast.
+func (s store) put(i, r, v int) { s.cells[i] = stamped{v: v, r: r} }
 
-// Received is the round-r view of the entity whose ports are ports.
-func (s Store) Received(ports []int32, r int) Broadcasts {
+// received is the round-r view of the entity whose ports are ports.
+func (s store) received(ports []int32, r int) Broadcasts {
 	return Broadcasts{ports: ports, cells: s.cells, r: r}
 }
 
@@ -88,12 +88,12 @@ func SendPerPort(b Broadcaster, r, degree int) []Message {
 // inbox to ReceiveBroadcast.
 func ReceivePerPort(b Broadcaster, r int, inbox []Message) bool {
 	ports := make([]int32, len(inbox))
-	s := NewStore(len(inbox))
+	s := newStore(len(inbox))
 	for p, m := range inbox {
 		ports[p] = int32(p)
 		if m != nil {
-			s.Put(p, r, m.(int))
+			s.put(p, r, m.(int))
 		}
 	}
-	return b.ReceiveBroadcast(r, s.Received(ports, r))
+	return b.ReceiveBroadcast(r, s.received(ports, r))
 }

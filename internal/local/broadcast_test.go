@@ -11,7 +11,6 @@ import (
 	"github.com/distec/distec/internal/listcolor"
 	"github.com/distec/distec/internal/local"
 	"github.com/distec/distec/internal/randomized"
-	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/trace"
 	"github.com/distec/distec/internal/verify"
 )
@@ -71,9 +70,9 @@ func variants(t *testing.T, n int) []variant {
 	var out []variant
 	for _, eng := range []local.Engine{
 		local.Sequential,
-		sharded.New(sharded.Config{Shards: 1}),
-		sharded.New(sharded.Config{Shards: 2}),
-		sharded.New(sharded.Config{Shards: n + 1}),
+		local.Sharded(1),
+		local.Sharded(2),
+		local.Sharded(n + 1),
 	} {
 		out = append(out,
 			variant{eng.Name() + "/broadcast", wrapped{eng, fast}, true, false},

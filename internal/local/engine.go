@@ -1,10 +1,14 @@
 package local
 
-import "github.com/distec/distec/internal/trace"
+import (
+	"fmt"
+
+	"github.com/distec/distec/internal/trace"
+)
 
 // Engine executes a Protocol on a Topology until every entity halts. The
-// two engines in the repository — Sequential and the sharded engine in
-// internal/sharded — implement identical synchronous LOCAL semantics: for
+// two engines in the repository — Sequential and Sharded — run the same
+// round loop (Exec) and implement identical synchronous LOCAL semantics: for
 // deterministic protocols, error-free runs produce bit-identical results
 // and stats, differing only in wall-clock cost. (On a protocol error the
 // engines agree on the error and the round it occurred in, but the partial
@@ -21,7 +25,7 @@ type Engine interface {
 
 // Sequential is the deterministic single-goroutine engine: the workhorse
 // for experiments and the reference semantics the sharded engine is tested
-// against. Its Run drives a SeqExec to completion.
+// against. Its Run drives a one-block Exec to completion on the caller.
 var Sequential Engine = sequential{}
 
 type sequential struct{}
@@ -29,8 +33,32 @@ type sequential struct{}
 func (sequential) Name() string { return "sequential" }
 
 func (sequential) Run(t *Topology, f Factory, opts *Options) (Stats, error) {
-	x := NewSeqExec(t, f, opts)
-	for !x.Round() {
+	x := prepare(t, f, opts, 1, nil, "sequential")
+	for !x.Round(nil) {
+	}
+	return x.Stats()
+}
+
+// Sharded returns the parallel engine with k shards; k ≤ 0 selects one
+// shard per core (runtime.GOMAXPROCS). The effective count never exceeds
+// the entity count. Its Run drives an Exec to completion, fanning each
+// phase out on fresh goroutines (GoExecutor). Error-free runs return
+// results and stats bit-identical to Sequential. The engine is stateless
+// between runs and safe for concurrent use.
+func Sharded(k int) Engine { return sharded(k) }
+
+type sharded int
+
+func (k sharded) Name() string {
+	if k > 0 {
+		return fmt.Sprintf("sharded-%d", int(k))
+	}
+	return "sharded"
+}
+
+func (k sharded) Run(t *Topology, f Factory, opts *Options) (Stats, error) {
+	x := prepare(t, f, opts, int(k), GoExecutor, k.Name())
+	for !x.Round(GoExecutor) {
 	}
 	return x.Stats()
 }

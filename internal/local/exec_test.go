@@ -1,9 +1,10 @@
-package sharded
+package local_test
 
 import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/linial"
@@ -33,7 +34,7 @@ func (e *laneExecutor) Execute(task func()) { e.tasks <- task }
 func (e *laneExecutor) Close()              { close(e.tasks) }
 
 // drive runs an Exec to completion through the given executor.
-func drive(x *Exec, exec Executor) (local.Stats, error) {
+func drive(x *local.Exec, exec local.Executor) (local.Stats, error) {
 	for !x.Round(exec) {
 	}
 	return x.Stats()
@@ -45,7 +46,7 @@ func drive(x *Exec, exec Executor) (local.Stats, error) {
 func TestExecMatchesSequential(t *testing.T) {
 	lanes := newLaneExecutor(3)
 	defer lanes.Close()
-	execs := map[string]Executor{"inline": nil, "go": GoExecutor, "lanes": lanes}
+	execs := map[string]local.Executor{"inline": nil, "go": local.GoExecutor, "lanes": lanes}
 	for _, g := range []*graph.Graph{
 		graph.Cycle(30), graph.Star(17), graph.Complete(12), graph.RandomRegular(48, 4, 3),
 	} {
@@ -64,7 +65,7 @@ func TestExecMatchesSequential(t *testing.T) {
 			for name, exec := range execs {
 				for _, shards := range shardCounts(tp.N()) {
 					got := make([]int, tp.N())
-					x := Prepare(tp, f(got), nil, shards, exec)
+					x := local.Prepare(tp, f(got), nil, shards, exec)
 					gotStats, err := drive(x, exec)
 					if err != nil {
 						t.Fatalf("%s shards=%d: %v", name, shards, err)
@@ -90,7 +91,7 @@ type stepEngine struct{}
 func (stepEngine) Name() string { return "exec-4" }
 
 func (stepEngine) Run(tp *local.Topology, f local.Factory, opts *local.Options) (local.Stats, error) {
-	return drive(Prepare(tp, f, opts, 4, GoExecutor), GoExecutor)
+	return drive(local.Prepare(tp, f, opts, 4, local.GoExecutor), local.GoExecutor)
 }
 
 // TestExecSleeperAndLinial covers the sleeper fast path and a real protocol
@@ -107,7 +108,7 @@ func TestExecSleeperAndLinial(t *testing.T) {
 	}
 	for _, shards := range shardCounts(tp.N()) {
 		got := make([]int, tp.N())
-		gotStats, err := drive(Prepare(tp, f(got), nil, shards, GoExecutor), GoExecutor)
+		gotStats, err := drive(local.Prepare(tp, f(got), nil, shards, local.GoExecutor), local.GoExecutor)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -147,21 +148,23 @@ func TestExecSleeperAndLinial(t *testing.T) {
 
 func TestExecRoundLimitAndErrors(t *testing.T) {
 	tp := local.FromGraph(graph.Cycle(4))
-	x := Prepare(tp, neverFactory, &local.Options{MaxRounds: 10}, 2, nil)
-	stats, err := drive(x, nil)
-	if !errors.Is(err, local.ErrRoundLimit) {
-		t.Fatalf("err = %v, want ErrRoundLimit", err)
-	}
-	if stats.Rounds != 10 {
-		t.Fatalf("rounds = %d, want 10", stats.Rounds)
-	}
-	if !x.Round(nil) || !x.Done() {
-		t.Fatal("finished Exec must stay finished")
+	for _, shards := range []int{1, 2} {
+		x := local.Prepare(tp, neverFactory, &local.Options{MaxRounds: 10}, shards, nil)
+		stats, err := drive(x, nil)
+		if !errors.Is(err, local.ErrRoundLimit) {
+			t.Fatalf("shards=%d: err = %v, want ErrRoundLimit", shards, err)
+		}
+		if stats.Rounds != 10 {
+			t.Fatalf("shards=%d: rounds = %d, want 10", shards, stats.Rounds)
+		}
+		if !x.Round(nil) || !x.Done() {
+			t.Fatalf("shards=%d: finished Exec must stay finished", shards)
+		}
 	}
 
 	bad := local.FromGraph(graph.Complete(8))
 	for _, shards := range []int{1, 3, 8} {
-		_, err := drive(Prepare(bad, func(local.View) local.Protocol { return badSender{} }, nil, shards, GoExecutor), GoExecutor)
+		_, err := drive(local.Prepare(bad, func(local.View) local.Protocol { return badSender{} }, nil, shards, local.GoExecutor), local.GoExecutor)
 		if err == nil {
 			t.Fatalf("shards=%d: accepted wrong outbox length", shards)
 		}
@@ -172,7 +175,7 @@ func TestExecRoundLimitAndErrors(t *testing.T) {
 }
 
 func TestExecEmptyTopology(t *testing.T) {
-	x := Prepare(local.EdgeConflict(graph.New(5)), neverFactory, nil, 4, nil)
+	x := local.Prepare(local.EdgeConflict(graph.New(5)), neverFactory, nil, 4, nil)
 	if !x.Done() {
 		t.Fatal("empty topology should be done immediately")
 	}
@@ -187,7 +190,7 @@ func TestExecEmptyTopology(t *testing.T) {
 func TestExecStatsBetweenRounds(t *testing.T) {
 	tp := local.FromGraph(graph.Cycle(6))
 	out := make([]int, tp.N())
-	x := Prepare(tp, func(v local.View) local.Protocol {
+	x := local.Prepare(tp, func(v local.View) local.Protocol {
 		return &floodMax{v: v, rounds: 3, best: v.Index, out: out}
 	}, nil, 2, nil)
 	if stats, err := x.Stats(); err != nil || stats != (local.Stats{}) {
@@ -214,7 +217,7 @@ func TestExecInterrupt(t *testing.T) {
 		}
 		return nil
 	}}
-	x := Prepare(local.FromGraph(graph.Cycle(6)), neverFactory, opts, 2, nil)
+	x := local.Prepare(local.FromGraph(graph.Cycle(6)), neverFactory, opts, 2, nil)
 	_, err := drive(x, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want interrupt error", err)
@@ -224,8 +227,78 @@ func TestExecInterrupt(t *testing.T) {
 	}
 }
 
-// TestRunInterrupt covers the interrupt seam through Engine.Run, inline
-// (one shard) and fanned out.
+// TestOneBlockExecInterruptAndLimit steps a one-block Exec — the shape the
+// serving layer's single lane runs — until an interrupt and, separately,
+// until the round limit stops it.
+func TestOneBlockExecInterruptAndLimit(t *testing.T) {
+	boom := errors.New("deadline")
+	polls := 0
+	opts := &local.Options{Interrupt: func() error {
+		polls++
+		if polls > 3 {
+			return boom
+		}
+		return nil
+	}}
+	x := local.Prepare(local.FromGraph(graph.Cycle(6)), neverFactory, opts, 1, nil)
+	for !x.Round(nil) {
+	}
+	if stats, err := x.Stats(); !errors.Is(err, boom) || stats.Rounds != 3 {
+		t.Fatalf("stats %+v, err %v; want 3 rounds then interrupt", stats, err)
+	}
+
+	x = local.Prepare(local.FromGraph(graph.Cycle(6)), neverFactory, &local.Options{MaxRounds: 7}, 1, nil)
+	for !x.Round(nil) {
+	}
+	if stats, err := x.Stats(); !errors.Is(err, local.ErrRoundLimit) || stats.Rounds != 7 {
+		t.Fatalf("stats %+v, err %v; want 7 rounds then limit", stats, err)
+	}
+}
+
+// TestExecRoundsBudget drives a one-block Exec in microscopic time slices
+// and demands bit-identical results and stats to the one-call
+// Sequential.Run — the property the serving layer's single-lane slicing
+// relies on.
+func TestExecRoundsBudget(t *testing.T) {
+	tp := local.EdgeConflict(graph.Cycle(40))
+	f := func(out []int) local.Factory {
+		return func(v local.View) local.Protocol {
+			return &floodMax{v: v, rounds: 50, best: v.Index, out: out}
+		}
+	}
+	want := make([]int, tp.N())
+	wantStats, err := local.Sequential.Run(tp, f(want), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int, tp.N())
+	x := local.Prepare(tp, f(got), nil, 1, nil)
+	slices := 0
+	for !x.Rounds(time.Microsecond) {
+		slices++
+		if slices > 1000 {
+			t.Fatal("budget slicing does not terminate")
+		}
+	}
+	gotStats, err := x.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotStats != wantStats {
+		t.Fatalf("stats %+v, want %+v", gotStats, wantStats)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entity %d: %d, want %d", i, got[i], want[i])
+		}
+	}
+	if !x.Rounds(0) || !x.Done() {
+		t.Fatal("finished Exec must stay finished")
+	}
+}
+
+// TestRunInterrupt covers the interrupt seam through the sharded engine's
+// Run, inline (one shard) and fanned out.
 func TestRunInterrupt(t *testing.T) {
 	boom := errors.New("cancelled")
 	polls := 0
@@ -238,7 +311,7 @@ func TestRunInterrupt(t *testing.T) {
 	}}
 	for _, shards := range []int{1, 3} {
 		polls = 0
-		_, err := New(Config{Shards: shards}).Run(local.FromGraph(graph.Cycle(6)), neverFactory, opts)
+		_, err := local.Sharded(shards).Run(local.FromGraph(graph.Cycle(6)), neverFactory, opts)
 		if !errors.Is(err, boom) {
 			t.Fatalf("shards=%d: err = %v, want interrupt error", shards, err)
 		}

@@ -15,20 +15,20 @@
 // semantics and message counts as the per-port path.
 //
 // Two engines execute the same Protocol with identical semantics (see the
-// Engine interface), each through one round loop:
+// Engine interface) through one round loop, Exec.Round, which splits the
+// entities into contiguous shards:
 //
-//   - Sequential: a deterministic loop on one goroutine (SeqExec.Round);
-//     the workhorse for experiments and the reference semantics.
-//   - internal/sharded: entities split into shards whose per-round work
-//     runs in parallel, with batch mailboxes between shards
-//     (sharded.Exec.Round). An entity there sees only what its
+//   - Sequential: one shard, run inline on one goroutine; the workhorse
+//     for experiments and the reference semantics.
+//   - Sharded: several shards whose per-round work runs in parallel, with
+//     batch mailboxes between shards. An entity there sees only what its
 //     neighbors' shards delivered, so bit-identical results cross-check
 //     that every protocol is an honest message-passing program.
 //
-// Both run their rounds through Blocks: a Block owns a share of the
-// entities with their inboxes, and its one send phase and one receive
-// phase visit only the entities that are due and those a message
-// reached; sleepers wait under their wake round.
+// A shard's entities live in a block, which holds their inboxes and runs
+// the round's one send phase and one receive phase over them, visiting
+// only the entities that are due and those a message reached; sleepers
+// wait under their wake round.
 //
 // Entities know, at start: their own ID, their degree, the global entity
 // count and the global maximum degree (standard LOCAL assumptions; the paper

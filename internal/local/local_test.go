@@ -196,6 +196,19 @@ func TestRoundLimit(t *testing.T) {
 	}
 }
 
+func TestShardedRoundLimit(t *testing.T) {
+	tp := FromGraph(graph.Cycle(4))
+	for _, shards := range []int{1, 2, 4} {
+		stats, err := Sharded(shards).Run(tp, neverFactory, &Options{MaxRounds: 10})
+		if !errors.Is(err, ErrRoundLimit) {
+			t.Fatalf("shards=%d: err = %v, want ErrRoundLimit", shards, err)
+		}
+		if stats.Rounds != 10 {
+			t.Fatalf("shards=%d: rounds = %d, want 10", shards, stats.Rounds)
+		}
+	}
+}
+
 // staggeredHalt halts entity i after i+1 rounds, exercising the engines'
 // handling of messages arriving at already-halted entities.
 type staggeredHalt struct{ v View }
@@ -230,6 +243,17 @@ func TestEmptyTopology(t *testing.T) {
 	g := graph.New(5) // nodes, no edges
 	tp := EdgeConflict(g)
 	stats, err := Sequential.Run(tp, neverFactory, &Options{MaxRounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != (Stats{}) {
+		t.Fatalf("stats = %+v, want zero", stats)
+	}
+}
+
+func TestShardedEmptyTopology(t *testing.T) {
+	tp := EdgeConflict(graph.New(5)) // nodes, no edges
+	stats, err := Sharded(0).Run(tp, neverFactory, &Options{MaxRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,4 @@
-package sharded
-
-import "github.com/distec/distec/internal/local"
+package local
 
 // delivery is one message batched for handoff between shards: the
 // destination entity, the destination port, and the payload. Batching
@@ -9,14 +7,14 @@ import "github.com/distec/distec/internal/local"
 type delivery struct {
 	to   int32
 	port int32
-	msg  local.Message
+	msg  Message
 }
 
 // outbox is the mail of one source shard: buf[dst] is the batch this
 // shard produced for destination shard dst in the current round. A
 // per-port run batches deliveries; a broadcast run batches only the IDs of
 // the entities its broadcasts reach in other shards (the values themselves
-// sit in the run's local.Store), so no pointer crosses shards for a
+// sit in the run's broadcast store), so no pointer crosses shards for a
 // broadcast. Messages between entities of one shard never enter a batch:
 // the shard's block delivers them itself.
 //
@@ -24,9 +22,9 @@ type delivery struct {
 // receive phase and truncated (capacity retained) at the start of the
 // source's send phase in round r+1, so steady-state rounds allocate
 // nothing. One buffer is safe: Exec.Round's second each waits for every
-// receive task, on Engine.Run and on the pool's lanes alike, so the last
-// read of a batch, a store cell or an inbox in round r happens before its
-// reuse in round r+1.
+// receive task, on the sharded engine and on the pool's lanes alike, so
+// the last read of a batch, a store cell or an inbox in round r happens
+// before its reuse in round r+1.
 type outbox[T any] struct {
 	buf [][]T
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/trace"
 )
 
@@ -96,7 +95,7 @@ func TestMixedRunTakesPerPortPath(t *testing.T) {
 	for i := range weights {
 		weights[i] = tp.Degree(i) + 1
 	}
-	if b := sharded.Partition(weights, 2); b[1] > cut {
+	if b := local.Partition(weights, 2); b[1] > cut {
 		t.Fatalf("two-shard split %v leaves no shard of Broadcasters only", b)
 	}
 	run := func(eng local.Engine, mixed bool) ([]int, local.Stats, []string, int64) {
@@ -120,9 +119,9 @@ func TestMixedRunTakesPerPortPath(t *testing.T) {
 	var wantProfile []string
 	for k, eng := range []local.Engine{
 		local.Sequential,
-		sharded.New(sharded.Config{Shards: 1}),
-		sharded.New(sharded.Config{Shards: 2}),
-		sharded.New(sharded.Config{Shards: n + 1}),
+		local.Sharded(1),
+		local.Sharded(2),
+		local.Sharded(n + 1),
 	} {
 		if _, _, _, sends := run(eng, false); sends != 0 {
 			t.Errorf("%s: a run of Broadcasters only called Send %d times", eng.Name(), sends)

@@ -1,4 +1,4 @@
-package sharded
+package local
 
 // Partition splits the entities 0..len(weights)-1 into at most shards
 // contiguous blocks of near-equal total weight, and returns the block

@@ -1,4 +1,4 @@
-package sharded
+package local
 
 import (
 	"math/rand"

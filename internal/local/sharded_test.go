@@ -1,4 +1,4 @@
-package sharded
+package local_test
 
 import (
 	"errors"
@@ -10,8 +10,8 @@ import (
 	"github.com/distec/distec/internal/local"
 )
 
-// floodMax mirrors the reference protocol of the local package: broadcast
-// the largest index seen for a fixed number of rounds, then halt.
+// floodMax mirrors the reference protocol of the package's internal tests:
+// send the largest index seen for a fixed number of rounds, then halt.
 type floodMax struct {
 	v      local.View
 	rounds int
@@ -122,7 +122,7 @@ func TestFloodMaxMatchesSequential(t *testing.T) {
 			}
 			for _, shards := range shardCounts(tp.N()) {
 				got := make([]int, tp.N())
-				gotStats, err := New(Config{Shards: shards}).Run(tp, f(got), nil)
+				gotStats, err := local.Sharded(shards).Run(tp, f(got), nil)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -151,7 +151,7 @@ func TestSleeperMatchesSequential(t *testing.T) {
 	}
 	for _, shards := range shardCounts(tp.N()) {
 		got := make([]int, tp.N())
-		gotStats, err := New(Config{Shards: shards}).Run(tp, f(got), nil)
+		gotStats, err := local.Sharded(shards).Run(tp, f(got), nil)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -174,7 +174,7 @@ func TestStaggeredHaltMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range shardCounts(tp.N()) {
-		got, err := New(Config{Shards: shards}).Run(tp, f, nil)
+		got, err := local.Sharded(shards).Run(tp, f, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -196,7 +196,7 @@ func TestLinialMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range shardCounts(tp.N()) {
-		got, gotStats, err := linial.Reduce(tp, init, tp.N(), New(Config{Shards: shards}))
+		got, gotStats, err := linial.Reduce(tp, init, tp.N(), local.Sharded(shards))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -217,30 +217,6 @@ func (neverHalt) Send(r int) []local.Message        { return nil }
 func (neverHalt) Receive(int, []local.Message) bool { return false }
 func neverFactory(v local.View) local.Protocol      { return neverHalt{} }
 
-func TestRoundLimit(t *testing.T) {
-	tp := local.FromGraph(graph.Cycle(4))
-	for _, shards := range []int{1, 2, 4} {
-		stats, err := New(Config{Shards: shards}).Run(tp, neverFactory, &local.Options{MaxRounds: 10})
-		if !errors.Is(err, local.ErrRoundLimit) {
-			t.Fatalf("shards=%d: err = %v, want ErrRoundLimit", shards, err)
-		}
-		if stats.Rounds != 10 {
-			t.Fatalf("shards=%d: rounds = %d, want 10", shards, stats.Rounds)
-		}
-	}
-}
-
-func TestEmptyTopology(t *testing.T) {
-	tp := local.EdgeConflict(graph.New(5)) // nodes, no edges
-	stats, err := New(Config{}).Run(tp, neverFactory, &local.Options{MaxRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats != (local.Stats{}) {
-		t.Fatalf("stats = %+v, want zero", stats)
-	}
-}
-
 // badSender returns a wrong-length outbox from every entity; the reported
 // error must name the lowest entity index regardless of worker interleaving.
 type badSender struct{}
@@ -251,7 +227,7 @@ func (badSender) Receive(int, []local.Message) bool { return false }
 func TestSendLengthMismatchDeterministic(t *testing.T) {
 	tp := local.FromGraph(graph.Complete(8))
 	for _, shards := range []int{1, 3, 8} {
-		_, err := New(Config{Shards: shards}).Run(tp, func(local.View) local.Protocol { return badSender{} }, nil)
+		_, err := local.Sharded(shards).Run(tp, func(local.View) local.Protocol { return badSender{} }, nil)
 		if err == nil {
 			t.Fatalf("shards=%d: accepted wrong outbox length", shards)
 		}
@@ -262,11 +238,25 @@ func TestSendLengthMismatchDeterministic(t *testing.T) {
 }
 
 func TestEngineName(t *testing.T) {
-	if got := New(Config{}).Name(); got != "sharded" {
+	if got := local.Sharded(0).Name(); got != "sharded" {
 		t.Fatalf("Name() = %q", got)
 	}
-	if got := New(Config{Shards: 7}).Name(); got != "sharded-7" {
+	if got := local.Sharded(7).Name(); got != "sharded-7" {
 		t.Fatalf("Name() = %q", got)
 	}
-	var _ local.Engine = Default
+}
+
+// TestFactoryPanicOnShard has a Factory panic while a fanned-out shard is
+// being built: the run must end at once with that panic as its ErrPanic
+// error, not go on to run the shard's half-built block.
+func TestFactoryPanicOnShard(t *testing.T) {
+	_, err := local.Sharded(2).Run(local.FromGraph(graph.Cycle(10)), func(v local.View) local.Protocol {
+		if v.Index == 7 {
+			panic("factory boom")
+		}
+		return neverHalt{}
+	}, nil)
+	if !errors.Is(err, local.ErrPanic) || err.Error() != "local: panic during protocol execution: shard 1: factory boom" {
+		t.Fatalf("err = %v, want the factory's panic on shard 1", err)
+	}
 }

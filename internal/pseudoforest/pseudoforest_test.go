@@ -7,7 +7,6 @@ import (
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/listcolor"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 )
 
 func uniformLists(g *graph.Graph, c int) [][]int {
@@ -148,7 +147,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := Solve(g, nil, lists, sharded.New(sharded.Config{Shards: 3}))
+	b, sb, err := Solve(g, nil, lists, local.Sharded(3))
 	if err != nil {
 		t.Fatal(err)
 	}

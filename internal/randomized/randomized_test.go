@@ -5,7 +5,6 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/verify"
 )
 
@@ -138,7 +137,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := Solve(g, nil, lists, 11, sharded.New(sharded.Config{Shards: 3}))
+	b, sb, err := Solve(g, nil, lists, 11, local.Sharded(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 )
 
 // jobEngine is the local.Engine handed to a job's fn: it routes every
@@ -99,12 +98,12 @@ func (p *Pool) runOnLane(ctx context.Context, t *local.Topology, f local.Factory
 
 // runSliced drives a large execution through one lane in bounded time
 // slices, so with a single worker a huge graph still cannot hold the lane
-// hostage between slices. The slices run the step form of the sequential
-// engine — full sequential speed, none of the sharded structure's
+// hostage between slices. The slices run a one-block Exec, the sequential
+// engine's — full sequential speed, none of the sharded structure's
 // per-message overhead, which a single lane could never amortize.
 func (p *Pool) runSliced(ctx context.Context, t *local.Topology, f local.Factory, opts *local.Options) (local.Stats, error) {
-	var x *local.SeqExec
-	if err := p.onLane(ctx, func() { x = local.NewSeqExec(t, f, opts) }); err != nil {
+	var x *local.Exec
+	if err := p.onLane(ctx, func() { x = local.Prepare(t, f, opts, 1, nil) }); err != nil {
 		return local.Stats{}, err
 	}
 	for !x.Done() {
@@ -142,7 +141,7 @@ func (p *Pool) runFanout(ctx context.Context, t *local.Topology, f local.Factory
 				done <- result{err: fmt.Errorf("%w: %v", local.ErrPanic, r)}
 			}
 		}()
-		x := sharded.Prepare(t, f, opts, p.workers, p)
+		x := local.Prepare(t, f, opts, p.workers, p)
 		for !x.Round(p) {
 		}
 		stats, err := x.Stats()

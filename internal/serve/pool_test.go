@@ -10,7 +10,6 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 	"github.com/distec/distec/internal/trace"
 )
 
@@ -88,11 +87,14 @@ func TestPoolRoutesMatchSequential(t *testing.T) {
 		local.EdgeConflict(graph.Cycle(40)),
 		local.EdgeConflict(graph.RandomRegular(48, 4, 3)),
 	}
-	configs := []Options{
-		{Workers: 1},                           // everything sequential (small topologies)
-		{Workers: 1, SmallJob: -1},             // force the sliced route
-		{Workers: 3, SmallJob: -1},             // force the fanout route
-		{Workers: 1, SmallJob: -1, Slice: 100}, // absurdly small slice: one round per slice
+	configs := []struct {
+		o     Options
+		slice time.Duration
+	}{
+		{o: Options{Workers: 1}},                           // everything sequential (small topologies)
+		{o: Options{Workers: 1, SmallJob: -1}},             // force the sliced route
+		{o: Options{Workers: 3, SmallJob: -1}},             // force the fanout route
+		{o: Options{Workers: 1, SmallJob: -1}, slice: 100}, // absurdly small slice: one round per slice
 	}
 	for _, tp := range topologies {
 		want := make([]int, tp.N())
@@ -100,8 +102,11 @@ func TestPoolRoutesMatchSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ci, o := range configs {
-			p := New(o)
+		for ci, c := range configs {
+			p := New(c.o)
+			if c.slice > 0 {
+				p.slice = c.slice
+			}
 			got, gotStats := runOnPool(t, p, tp, 24)
 			p.Close()
 			if gotStats != wantStats {
@@ -116,29 +121,37 @@ func TestPoolRoutesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestShardedTraceSpans pins what a traced sharded execution reports on
-// both of its drivers: Engine.Run names its span after the engine
-// ("sharded-3"), a pool fan-out job "sharded", and both carry one busy
-// time per shard on every round.
+// TestShardedTraceSpans pins what a traced execution reports on each of
+// the round loop's drivers: the sharded engine's Run names its span after
+// the engine ("sharded-3") and a pool fan-out job "sharded", both with one
+// busy time per shard on every round; a single-lane sliced job runs one
+// block, named "sequential" like the sequential engine, with none.
 func TestShardedTraceSpans(t *testing.T) {
 	tp := local.EdgeConflict(graph.RandomRegular(48, 4, 3))
 	p := New(Options{Workers: 3, SmallJob: -1})
 	defer p.Close()
+	sliced := New(Options{Workers: 1, SmallJob: -1})
+	defer sliced.Close()
 	const rounds = 6
-	for _, c := range []struct {
-		engine string
-		run    func(opts *local.Options) error
-	}{
-		{"sharded-3", func(opts *local.Options) error {
-			_, err := sharded.New(sharded.Config{Shards: 3}).Run(tp, floodFactory(rounds, make([]int, tp.N())), opts)
-			return err
-		}},
-		{"sharded", func(opts *local.Options) error {
+	onPool := func(p *Pool) func(opts *local.Options) error {
+		return func(opts *local.Options) error {
 			return p.Do(context.Background(), func(eng local.Engine) error {
 				_, err := eng.Run(tp, floodFactory(rounds, make([]int, tp.N())), opts)
 				return err
 			})
+		}
+	}
+	for _, c := range []struct {
+		engine string
+		busy   int
+		run    func(opts *local.Options) error
+	}{
+		{"sharded-3", 3, func(opts *local.Options) error {
+			_, err := local.Sharded(3).Run(tp, floodFactory(rounds, make([]int, tp.N())), opts)
+			return err
 		}},
+		{"sharded", 3, onPool(p)},
+		{"sequential", 0, onPool(sliced)},
 	} {
 		tr := trace.New()
 		if err := c.run(&local.Options{Trace: tr}); err != nil {
@@ -152,8 +165,8 @@ func TestShardedTraceSpans(t *testing.T) {
 			t.Fatalf("%s: %d round events, want %d", c.engine, len(spans[0].Rounds), rounds)
 		}
 		for _, ev := range spans[0].Rounds {
-			if len(ev.ShardBusy) != 3 {
-				t.Fatalf("%s round %d: %d shard busy times, want 3", c.engine, ev.Round, len(ev.ShardBusy))
+			if len(ev.ShardBusy) != c.busy {
+				t.Fatalf("%s round %d: %d shard busy times, want %d", c.engine, ev.Round, len(ev.ShardBusy), c.busy)
 			}
 		}
 	}

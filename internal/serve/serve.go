@@ -10,11 +10,11 @@
 //   - Small topologies take the fast path: the whole execution runs as one
 //     task on one lane via local.Sequential, the fastest engine for
 //     small instances — no barriers, no cross-goroutine handoff.
-//   - Large topologies run step-driven: with several lanes the per-shard
-//     phase work of each round fans out across them (sharded.Exec); with
-//     one lane the rounds run in bounded time slices of the sequential
-//     step form (local.SeqExec), at full sequential speed. Either way a
-//     huge graph occupies the lanes only round by round (or slice by
+//   - Large topologies run step-driven through the engines' round loop,
+//     local.Exec: with several lanes the per-shard phase work of each
+//     round fans out across them; with one lane the rounds of a one-block
+//     Exec run in bounded time slices, at full sequential speed. Either
+//     way a huge graph occupies the lanes only round by round (or slice by
 //     slice), so it cannot starve the queue — FIFO task order interleaves
 //     every in-flight job at round granularity.
 //
@@ -39,22 +39,20 @@ import (
 	"github.com/distec/distec/internal/metrics"
 )
 
-// Defaults for Options fields left zero.
-const (
-	// DefaultSmallJob is the entity-count threshold at or below which an
-	// execution takes the sequential fast path.
-	DefaultSmallJob = 4096
-	// DefaultSlice bounds how long a single-lane slice of a large execution
-	// may hold its lane.
-	DefaultSlice = 2 * time.Millisecond
-)
+// DefaultSmallJob is the entity-count threshold at or below which an
+// execution takes the sequential fast path, when Options.SmallJob is zero.
+const DefaultSmallJob = 4096
+
+// timeSlice bounds how long one task of a single-lane (non-fanned) large
+// execution holds its lane before other jobs get a turn.
+const timeSlice = 2 * time.Millisecond
 
 // ErrClosed is returned by Do after Close.
 var ErrClosed = errors.New("serve: pool is closed")
 
 // Options configures a Pool. The zero value selects one worker lane per
 // core, a queue depth of four jobs per lane, and the default small-job
-// threshold and time slice.
+// threshold.
 type Options struct {
 	// Workers is the number of worker lanes (default: runtime.GOMAXPROCS).
 	Workers int
@@ -67,10 +65,6 @@ type Options struct {
 	// being sharded. Negative disables the fast path. Default:
 	// DefaultSmallJob.
 	SmallJob int
-	// Slice bounds how long one task of a single-lane (non-fanned) large
-	// execution holds its lane before other jobs get a turn. Default:
-	// DefaultSlice.
-	Slice time.Duration
 	// Metrics, when set, exposes the pool's counters and gauges on the
 	// registry (distec_serve_* families) and records per-job latency
 	// histograms by outcome. The counters exist either way; the registry
@@ -112,15 +106,11 @@ func New(o Options) *Pool {
 	if small == 0 {
 		small = DefaultSmallJob
 	}
-	slice := o.Slice
-	if slice <= 0 {
-		slice = DefaultSlice
-	}
 	p := &Pool{
 		workers:    w,
 		queueDepth: q,
 		smallJob:   small,
-		slice:      slice,
+		slice:      timeSlice,
 		tasks:      make(chan func(), 4*w+16),
 		sem:        make(chan struct{}, q),
 	}
@@ -245,6 +235,6 @@ func (p *Pool) Close() {
 	p.lanes.Wait()
 }
 
-// Execute implements sharded.Executor: phase tasks of fanned-out large
+// Execute implements local.Executor: phase tasks of fanned-out large
 // executions share the same lanes (and FIFO order) as whole small jobs.
 func (p *Pool) Execute(task func()) { p.tasks <- task }

@@ -1,9 +1,9 @@
 // Package trace is a zero-dependency, round-resolved execution tracer
 // for the LOCAL engines. A *Trace collects one Span per protocol
-// execution (one local.Engine.Run, or one step-driven Exec/SeqExec
-// drive) and one RoundEvent per synchronous round inside it: duration,
-// messages sent, entities that received state, entities that halted,
-// and — for the sharded engine — per-shard busy time.
+// execution (one local.Engine.Run, or one step-driven local.Exec drive)
+// and one RoundEvent per synchronous round inside it: duration, messages
+// sent, entities that received state, entities that halted, and — for an
+// execution of more than one shard — per-shard busy time.
 //
 // Every method on *Trace and *Span is nil-safe: a nil tracer is the
 // disabled state, engines call through it unconditionally, and the
@@ -197,9 +197,9 @@ type RoundEvent struct {
 	Received int
 	Halted   int
 	Active   int
-	// ShardBusy is the per-shard busy time for this round (sharded
-	// engine only; nil elsewhere). Skew between entries is the
-	// partitioner's imbalance.
+	// ShardBusy is the per-shard busy time for this round (executions of
+	// more than one shard only; nil elsewhere). Skew between entries is
+	// the partitioner's imbalance.
 	ShardBusy []time.Duration
 }
 

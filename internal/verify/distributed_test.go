@@ -6,7 +6,6 @@ import (
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/linial"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 )
 
 func TestDistributedCheckAcceptsValid(t *testing.T) {
@@ -62,7 +61,7 @@ func TestDistributedCheckBothEngines(t *testing.T) {
 	for e := range colors {
 		colors[e] = e
 	}
-	for _, run := range []local.Engine{local.Sequential, sharded.New(sharded.Config{Shards: 3})} {
+	for _, run := range []local.Engine{local.Sequential, local.Sharded(3)} {
 		ok, _, err := DistributedCheck(local.EdgeConflict(g), colors, run)
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/distec/distec/internal/graph"
 	"github.com/distec/distec/internal/local"
-	"github.com/distec/distec/internal/sharded"
 )
 
 func TestSolveFamilies(t *testing.T) {
@@ -70,7 +69,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := Solve(g, sharded.New(sharded.Config{Shards: 3}))
+	b, sb, err := Solve(g, local.Sharded(3))
 	if err != nil {
 		t.Fatal(err)
 	}
